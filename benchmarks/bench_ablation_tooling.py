@@ -5,7 +5,7 @@ Paper §11–12 stress that the OSSS results depend on prototypic tools that
 tool's maturity levers on the OSSS ExpoCU netlist:
 
 * raw technology mapping (no optimization at all),
-* optimization without the mux-chain collapse pass,
+* optimization without the mux-chain collapse rule,
 * the full optimizer.
 """
 
@@ -30,12 +30,12 @@ def _rtl():
 
 
 def _optimize_without_mux_chain(circuit):
-    saved = opt_module._mux_chain_pass
-    opt_module._mux_chain_pass = lambda circuit, aliases: False
+    saved = opt_module._Worklist._mux_chain
+    opt_module._Worklist._mux_chain = lambda self, cell: False
     try:
         opt_module.optimize(circuit)
     finally:
-        opt_module._mux_chain_pass = saved
+        opt_module._Worklist._mux_chain = saved
     return circuit
 
 

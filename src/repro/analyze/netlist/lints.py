@@ -13,9 +13,10 @@ OSS503    a cell whose output stuck-at faults are all untestable —
           a redundant-logic candidate
 ========  ==========================================================
 
-Lints walk *connected* nets only (cell pins and bus members); stale
-nets the optimizer left behind in ``circuit.nets`` carry no logic and
-are skipped.
+Lints walk *connected* nets only (cell pins and bus members).  The
+optimizer keeps only those in ``circuit.nets``; a circuit that skipped
+it may still list unconnected nets, which carry no logic and are
+skipped.
 """
 
 from __future__ import annotations

@@ -133,8 +133,8 @@ def scoap_analysis(circuit: Circuit) -> TestabilityReport:
     Forward controllability and backward observability both sweep the
     combinational cells in (reverse) topological order with the flops
     relaxed between sweeps, iterating to a fixed point so sequential
-    loops settle.  Stale nets left behind by the optimizer (no driver,
-    no loads) simply keep their :data:`INF` scores.
+    loops settle.  Unconnected nets (no driver, no loads), which only an
+    unoptimized circuit lists, simply keep their :data:`INF` scores.
     """
     cc0: dict[int, float] = {net.uid: INF for net in circuit.nets}
     cc1: dict[int, float] = {net.uid: INF for net in circuit.nets}

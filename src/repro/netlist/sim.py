@@ -343,8 +343,10 @@ class GateSimulator:
         self._n_wakeups = 0
         self._n_fast_commits = 0
         # Slots are allocated for *live* nets only (cell pins, bus
-        # members, constants): technology mapping leaves many dead nets
-        # behind, and the value list is copied by every checkpoint.
+        # members, constants): the optimizer drops unconnected nets, but
+        # simulators also run unoptimized circuits, where technology
+        # mapping leaves many behind, and the value list is copied by
+        # every checkpoint.
         used: set[int] = set(circuit.primary_input_nets())
         for cell in circuit.cells:
             for net in cell.pins.values():

@@ -14,7 +14,8 @@ file is dropped so the caller recomputes.  Pointer files carry the
 digest they reference plus the store schema; an unparsable or
 mismatched pointer is likewise dropped, never followed.
 
-Concurrency: all writes go through a temp file in the same directory
+Concurrency: all writes go through a temp file on the same file system
+(objects are streamed into one under ``objects/`` while being hashed)
 followed by ``os.replace`` (atomic on POSIX), so readers never observe
 a half-written file.  Writers additionally hold a *shared* ``flock`` on
 ``.lock`` while maintenance operations (:meth:`gc`, :meth:`clear`)
@@ -31,6 +32,7 @@ and a ``corrupt`` counter tick.  A store root created by a different
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -38,11 +40,12 @@ import threading
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from repro.store.common import (
     STORE_SCHEMA,
     StoreError,
+    canonical_chunks,
     canonical_json,
     digest_bytes,
 )
@@ -165,20 +168,33 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # low-level plumbing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    @classmethod
+    def _write_temp(cls, directory: Path, chunks: Iterable[bytes]) -> str:
+        """Write *chunks* to a fresh temp file in *directory*; its path."""
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
+                for chunk in chunks:
+                    handle.write(chunk)
+        except BaseException:
+            cls._discard(Path(tmp))
+            raise
+        return tmp
+
+    @classmethod
+    def _publish(cls, tmp: str, path: Path) -> None:
+        """Atomically move the finished temp file *tmp* to *path*."""
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             os.replace(tmp, path)
         except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            cls._discard(Path(tmp))
             raise
+
+    @classmethod
+    def _atomic_write(cls, path: Path, data: bytes) -> None:
+        cls._publish(cls._write_temp(path.parent, [data]), path)
 
     def _object_path(self, digest: str) -> Path:
         return self.objects_dir / digest[:2] / f"{digest}.json"
@@ -214,13 +230,28 @@ class ArtifactStore:
     # objects
     # ------------------------------------------------------------------
     def put_object(self, doc: Any) -> str:
-        """Store *doc* by content; returns its digest.  Idempotent."""
-        data = canonical_json(doc).encode("utf-8")
-        digest = digest_bytes(data)
-        path = self._object_path(digest)
-        if not path.exists():
-            with self._flock(exclusive=False):
-                self._atomic_write(path, data)
+        """Store *doc* by content; returns its digest.  Idempotent.
+
+        The canonical bytes go to the hash and a temp file in bounded
+        chunks (:func:`~repro.store.common.canonical_chunks`), so a large
+        artifact is never held as one string or one bytes copy.
+        """
+        sha = hashlib.sha256()
+
+        def encoded() -> Iterator[bytes]:
+            for chunk in canonical_chunks(doc):
+                data = chunk.encode("utf-8")
+                sha.update(data)
+                yield data
+
+        with self._flock(exclusive=False):
+            tmp = self._write_temp(self.objects_dir, encoded())
+            digest = sha.hexdigest()
+            path = self._object_path(digest)
+            if path.exists():
+                self._discard(Path(tmp))
+            else:
+                self._publish(tmp, path)
         return digest
 
     def get_object(self, digest: str) -> Any | None:

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import Any, Iterator
 
 #: Versioned identifier of the on-disk store layout.
 STORE_SCHEMA = "repro-store/v1"
+
+#: List items rendered per piece by :func:`canonical_chunks`.
+_CHUNK_ITEMS = 512
 
 
 class StoreError(ValueError):
@@ -35,6 +38,35 @@ def canonical_json(doc: Any) -> str:
                           allow_nan=False)
     except (TypeError, ValueError) as exc:
         raise StoreError(f"artifact is not JSON-serializable: {exc}") from exc
+
+
+def canonical_chunks(doc: Any) -> Iterator[str]:
+    """:func:`canonical_json` of *doc*, rendered in bounded pieces.
+
+    A top-level dict is rendered field by field and a long list — the
+    document itself or a field's value — in batches of items, so a
+    multi-megabyte artifact never exists as one string.  The pieces join
+    to exactly ``canonical_json(doc)``.
+    """
+    if isinstance(doc, dict) and all(isinstance(key, str) for key in doc):
+        yield "{"
+        for index, (key, value) in enumerate(doc.items()):
+            yield ("," if index else "") + canonical_json(key) + ":"
+            yield from _list_chunks(value)
+        yield "}"
+    else:
+        yield from _list_chunks(doc)
+
+
+def _list_chunks(value: Any) -> Iterator[str]:
+    if not isinstance(value, (list, tuple)) or len(value) <= _CHUNK_ITEMS:
+        yield canonical_json(value)
+        return
+    yield "["
+    for start in range(0, len(value), _CHUNK_ITEMS):
+        batch = canonical_json(value[start:start + _CHUNK_ITEMS])[1:-1]
+        yield ("," if start else "") + batch
+    yield "]"
 
 
 def digest_bytes(data: bytes) -> str:

@@ -1,10 +1,10 @@
 """The shared structural queries: ``fanout_map`` and ``fanin_cone``.
 
-Both the dead-logic optimizer pass and the netlist analysis engine are
-defined in terms of these two ``Circuit`` methods, so their semantics
-are pinned here independently of either consumer — plus a regression
-that the refactored ``_dead_removal`` still removes exactly the
-cells outside the cone.
+Both the optimizer's dead-logic sweep and the netlist analysis engine
+are defined in terms of these two ``Circuit`` methods, so their
+semantics are pinned here independently of either consumer — plus a
+regression that the optimizer still removes exactly the cells outside
+the cone.
 """
 
 from repro.netlist import Circuit

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.store import STORE_SCHEMA, ArtifactStore, StoreError
+from repro.store import STORE_SCHEMA, ArtifactStore, StoreError, digest_doc
+from repro.store.common import canonical_chunks, canonical_json
 
 
 @pytest.fixture
@@ -30,6 +31,39 @@ class TestObjects:
     def test_unserializable_object_raises(self, store):
         with pytest.raises(StoreError):
             store.put_object({"bad": object()})
+
+    def test_unserializable_object_leaves_no_temp_file(self, store):
+        with pytest.raises(StoreError):
+            store.put_object({"nets": list(range(2000)) + [object()]})
+        assert list(store.objects_dir.rglob("*")) == []
+
+    def test_streamed_bytes_are_canonical(self, store):
+        doc = {"name": "n\u00e9t", "nets": [f"n{k}" for k in range(3000)],
+               "cells": [[f"c{k}", "AND2", [k, k + 1, k + 2]]
+                         for k in range(1500)],
+               "const": [], "nested": {"1": [1.5, None, True]}}
+        digest = store.put_object(doc)
+        assert digest == digest_doc(doc)
+        data = store._object_path(digest).read_bytes()
+        assert data == canonical_json(doc).encode("utf-8")
+
+    @pytest.mark.parametrize("doc", [
+        {"big": list(range(1025)), "small": [1, 2], "s": "x"},
+        list(range(5000)),
+        [[k, str(k)] for k in range(513)],
+        {1: "non-string key", "a": list(range(600))},
+        {},
+        [],
+        "scalar",
+    ], ids=["dict", "long-list", "nested-list", "int-key", "empty-dict",
+            "empty-list", "scalar"])
+    def test_chunks_join_to_canonical_json(self, doc):
+        assert "".join(canonical_chunks(doc)) == canonical_json(doc)
+
+    def test_long_lists_are_split(self):
+        doc = {"nets": [f"net{k}" for k in range(100_000)]}
+        longest = max(len(chunk) for chunk in canonical_chunks(doc))
+        assert longest * 50 < len(canonical_json(doc))
 
     def test_missing_object_is_none(self, store):
         assert store.get_object("0" * 64) is None
