@@ -32,9 +32,7 @@ from __future__ import annotations
 
 import functools
 import json
-import multiprocessing
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -488,22 +486,28 @@ def _classify_batch(injector, faults: Sequence[Fault],
                     stimulus: Sequence[Mapping[str, int]],
                     golden: _GoldenRun,
                     config: CampaignConfig) -> list[FaultRecord]:
-    """Classify up to ``lane_capacity`` stuck-at faults in one replay.
+    """Classify up to ``lane_capacity`` faults of any kind in one replay.
 
     Bit-parallel (PPSFP) counterpart of :func:`_classify`: the replay
     restores the earliest checkpoint of the batch, widens the simulator
-    to one lane per fault, and activates each lane's stuck-at clamp at
-    that fault's own injection cycle — a lane before its cycle tracks
-    the golden run exactly (the golden self-check guarantees replay
-    determinism), so it accumulates no spurious divergence.  Divergence,
-    detect-signal rises and done-signal quiescence are reduced to lane
-    bitmasks per cycle, mirroring the scalar classifier's sampling
-    points (outputs observed pre-commit; drain detection sampled on the
-    cycle quiescence is reached) so each lane's record is byte-identical
-    to its scalar classification.  Faults must be pre-validated with
-    ``injector.resolve_stuck`` — a lane fault can then never raise, so
-    the scalar classifier's exception-means-detected path has no batch
-    counterpart.
+    to one lane per fault, and injects each lane's fault at that fault's
+    own injection cycle — a stuck-at clamp, a state flip or a one-step
+    glitch, each with its scalar semantics — while a lane before its
+    cycle tracks the golden run exactly (the golden self-check
+    guarantees replay determinism), so it accumulates no spurious
+    divergence.  Divergence, detect-signal rises and done-signal
+    quiescence are reduced to lane bitmasks per cycle, mirroring the
+    scalar classifier's sampling points (outputs observed pre-commit;
+    drain detection sampled on the cycle quiescence is reached) so each
+    lane's record is byte-identical to its scalar classification.
+    Faults must be pre-validated with ``injector.resolve`` — a lane
+    fault can then never raise, so the scalar classifier's
+    exception-means-detected path has no batch counterpart.
+
+    The drain ends early once the lanes still active provably cycle:
+    only their flop bits are compared (see
+    ``injector.lane_state_snapshot``), so lanes that already finished
+    cannot hide a hanging lane's short period behind their own.
     """
     n = len(faults)
     base = min(fault.cycle for fault in faults)
@@ -520,7 +524,7 @@ def _classify_batch(injector, faults: Sequence[Fault],
         injector.begin_lanes(n)
         for cycle in range(base, len(stimulus)):
             for lane, fault in by_cycle.get(cycle, ()):
-                injector.force_lane(fault, lane)
+                injector.inject_lane(fault, lane)
             injector.step_lanes(stimulus[cycle])
             reference = golden.trace[cycle]
             diff = injector.lanes_output_diff(reference, golden.observed)
@@ -543,13 +547,14 @@ def _classify_batch(injector, faults: Sequence[Fault],
             active = all_lanes
             cycles = 0
             # Brent-style periodicity shortcut for hang lanes: the
-            # drain input is constant, so once the full wide state
-            # repeats with unchanged active/detected masks (and the
-            # detect reference clamped to its final entry), no active
-            # lane can ever quiesce or newly detect — the classification
-            # is already exactly what exhausting the budget would
-            # produce.  One stored snapshot, refreshed at power-of-two
-            # cycle counts, detects any period within the budget.
+            # drain input and masks are constant and lanes independent,
+            # so once the active lanes' flop bits repeat with unchanged
+            # active/detected masks (and the detect reference clamped to
+            # its final entry), no active lane can ever quiesce or newly
+            # detect — the classification is already exactly what
+            # exhausting the budget would produce.  One stored snapshot,
+            # refreshed at power-of-two cycle counts, detects any period
+            # within the budget.
             snapshot: list[int] | None = None
             snap_active = snap_detected = 0
             next_snap = 1
@@ -571,10 +576,11 @@ def _classify_batch(injector, faults: Sequence[Fault],
                 if cycles >= len(detect_trace) - 1:
                     if (snapshot is not None and active == snap_active
                             and detected == snap_detected
-                            and injector.lane_state_matches(snapshot)):
+                            and injector.lane_state_snapshot(active)
+                            == snapshot):
                         break
                     if cycles >= next_snap:
-                        snapshot = injector.lane_state_snapshot()
+                        snapshot = injector.lane_state_snapshot(active)
                         snap_active, snap_detected = active, detected
                         next_snap *= 2
             hang = active
@@ -601,30 +607,25 @@ def _lane_batches(injector, sim_faults: Sequence[Fault],
                                                    list[int]]:
     """Split *pending* fault indices into lane batches and a scalar rest.
 
-    Only permanent stuck-at faults pack into lanes; transients (seu,
-    flip) are one-shot events whose healing is inherently scalar, and
-    faults whose target does not resolve must go through the scalar
-    classifier to reproduce its exception-means-detected record.
-    Batchable faults are sorted target-major (then bit, kind, cycle)
-    before chunking at the injector's lane capacity: faults on the same
-    or structurally nearby nets tend to classify alike, so in
-    particular the hang-prone ones cluster into the same batch — one
-    batch pays the full drain budget instead of every batch carrying a
-    straggler lane.
+    Every fault whose target ``injector.resolve`` accepts packs into
+    lanes, whatever its kind (stuck-at, SEU or flip); only faults that
+    do not resolve go through the scalar classifier, to reproduce its
+    exception-means-detected record.  Batchable faults are sorted
+    target-major (then bit, kind, cycle) before chunking at the
+    injector's lane capacity: faults on the same or structurally nearby
+    nets tend to classify alike, so in particular the hang-prone ones
+    cluster into the same batch — one batch pays the full drain budget
+    instead of every batch carrying a straggler lane.
     """
     batchable: list[int] = []
     rest: list[int] = []
     for k in pending:
-        fault = sim_faults[k]
-        if fault.kind in ("sa0", "sa1"):
-            try:
-                injector.resolve_stuck(fault)
-            except Exception:
-                rest.append(k)
-            else:
-                batchable.append(k)
-        else:
+        try:
+            injector.resolve(sim_faults[k])
+        except Exception:
             rest.append(k)
+        else:
+            batchable.append(k)
     batchable.sort(key=lambda k: (sim_faults[k].target, sim_faults[k].bit,
                                   sim_faults[k].kind, sim_faults[k].cycle))
     capacity = injector.lane_capacity
@@ -657,48 +658,6 @@ def _outcome_tally(records: Sequence[FaultRecord]) -> dict[str, int]:
     for record in records:
         counts[record.outcome] += 1
     return counts
-
-
-def _run_shard(payload: tuple) -> dict[str, Any]:
-    """Worker: rebuild the injector, rerun the golden run, classify a shard.
-
-    Module-level so it pickles under every multiprocessing start method.
-    Each shard measures its own wall time and work counters so the
-    parent can roll them up as per-shard trace spans.
-    """
-    injector_factory, stimulus, faults, config = payload
-    start = time.perf_counter()
-    injector = injector_factory()
-    snap_cycles = {fault.cycle for fault in faults} | {0}
-    golden = _golden_run(injector, stimulus, config, snap_cycles)
-    golden_s = time.perf_counter() - start
-    records = [_classify(injector, fault, stimulus, golden, config)
-               for fault in faults]
-    total_s = time.perf_counter() - start
-    return {
-        "meta": _golden_meta(injector, golden),
-        "records": records,
-        "profile": {
-            "seconds": total_s,
-            "golden_s": golden_s,
-            "faults": len(faults),
-            "outcomes": _outcome_tally(records),
-            "sim_stats": _sim_stats(injector),
-        },
-    }
-
-
-def _mp_context():
-    """Fork where available (cheap, inherits sys.path), else spawn.
-
-    Retained alongside :func:`_run_shard` as the pre-supervision
-    execution engine: ``benchmarks/bench_resilience_overhead.py`` uses
-    the pair as the baseline the supervised pool is measured against.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
 
 
 class _CampaignSession:
@@ -974,8 +933,8 @@ def run_campaign(
         }
 
         # Bit-parallel lane packing (PPSFP): after collapse has
-        # canonicalized the list, pack permanent stuck-at faults into
-        # lanes so one replay classifies up to ``lane_capacity`` of
+        # canonicalized the list, pack every fault whose target resolves
+        # into lanes so one replay classifies up to ``lane_capacity`` of
         # them.  Per-fault wall-clock deadlines keep their scalar
         # quarantine semantics, so batching steps aside when a
         # *fault_timeout* is set; with ``jobs > 1`` the parent needs an

@@ -18,6 +18,10 @@ Both injectors speak the same small protocol the campaign engine
 ``seu_targets()``          deterministic ``(name, width)`` state bits;
 ``net_targets()``          deterministic net names for stuck-at/transient
                            faults (empty at RTL level).
+
+The gate injector on the ``bitparallel`` backend adds a lane surface
+(``lane_capacity``, ``resolve``, ``inject_lane``, ``step_lanes`` …) so
+one replay classifies up to 64 faults of any kind.
 """
 
 from __future__ import annotations
@@ -130,7 +134,9 @@ class FaultableGateSimulator(GateSimulator):
     generated ``settle_forced`` variant and re-applies the clamps after
     the generated commit, and the bitparallel engine does the same with
     per-slot ``(keep, value)`` lane masks so each lane can hold its own
-    stuck-at fault (:meth:`force_net_lane`).  The fault-free hot path is
+    fault — a stuck-at (:meth:`force_net_lane`) or a transient
+    (:meth:`flip_net_lane`, a one-step glitch mask composed with the
+    stuck-at masks of the other lanes).  The fault-free hot path is
     untouched because clamping only happens in this subclass, and only
     while a force is active.  Forced slots are keyed by value-list slot
     (see :class:`~repro.netlist.sim.GateSimulator`).
@@ -166,6 +172,10 @@ class FaultableGateSimulator(GateSimulator):
         #: One-cycle transient clamps: slot -> glitch value, healed
         #: after the next committed step.
         self._transient: dict[int, int] = {}
+        #: Lane-parallel one-cycle glitches: slot -> (keep, value) lane
+        #: masks, composed with ``_force_masks`` and expired by the next
+        #: commit_lanes().
+        self._glitch_masks: dict[int, tuple[int, int]] = {}
         #: Wide-settle specialization state: once the same force set has
         #: been lane-stepped SPEC_AFTER times in a row, the engine
         #: recompiles the settle with the clamps baked in as literals.
@@ -199,7 +209,8 @@ class FaultableGateSimulator(GateSimulator):
 
     # -- forcing -------------------------------------------------------
     def _any_fault(self) -> bool:
-        return bool(self._forced or self._force_masks or self._transient)
+        return bool(self._forced or self._force_masks or self._transient
+                    or self._glitch_masks)
 
     def _scalar_forces(self) -> dict[int, int]:
         """The slot clamps for the scalar generated ``settle_forced``."""
@@ -208,13 +219,29 @@ class FaultableGateSimulator(GateSimulator):
         return self._forced
 
     def _lane_forces(self) -> dict[int, tuple[int, int]]:
-        """The ``(keep, value)`` clamps for the wide ``settle_forced``."""
+        """The ``(keep, value)`` clamps for the wide ``settle_forced``.
+
+        Stuck-at masks win over glitches on the lanes they clamp, like
+        forces over transients in scalar mode.
+        """
+        forces = self._force_masks
         if self._transient:
             forces = {net_slot: (0, glitch)
                       for net_slot, glitch in self._transient.items()}
             forces.update(self._force_masks)
-            return forces
-        return self._force_masks
+        if self._glitch_masks:
+            forces = dict(forces)
+            for net_slot, (g_keep, g_val) in self._glitch_masks.items():
+                keep, val = forces.get(net_slot, (self._lane_mask, 0))
+                forces[net_slot] = (keep & g_keep, val | g_val & keep)
+        return forces
+
+    def _lane_bit(self, lane: int) -> int:
+        if not 0 <= lane < self._lanes:
+            raise FaultInjectionError(
+                f"lane {lane} outside the {self._lanes} active lane(s)"
+            )
+        return 1 << lane
 
     def force_net(self, net: Net, value: int) -> None:
         """Stuck-at: hold *net* at *value* until :meth:`release_all`."""
@@ -241,11 +268,7 @@ class FaultableGateSimulator(GateSimulator):
         in its injection cycle exactly like a scalar :meth:`force_net`.
         """
         net_slot = self._slot_of(net)
-        if not 0 <= lane < self._lanes:
-            raise FaultInjectionError(
-                f"lane {lane} outside the {self._lanes} active lane(s)"
-            )
-        bit = 1 << lane
+        bit = self._lane_bit(lane)
         value_bit = bit if value & 1 else 0
         keep, val = self._force_masks.get(net_slot,
                                           (self._lane_mask, 0))
@@ -276,14 +299,41 @@ class FaultableGateSimulator(GateSimulator):
         else:
             self._propagate([net_slot])
 
+    def flip_net_lane(self, net: Net, lane: int) -> None:
+        """Transient upset in one lane of a lane-parallel (bitparallel) run.
+
+        :meth:`flip_net` per lane: a flop-output flip inverts the lane's
+        state bit until the next commit overwrites it; any other net
+        gets a one-step ``(keep, value)`` glitch mask holding the inverse
+        of the lane's settled pre-step value.  The mask composes with
+        the stuck-at masks other lanes hold on the same slot and expires
+        in :meth:`commit_lanes`, which also heals a glitched primary
+        input back to its driven bit.
+        """
+        net_slot = self._slot_of(net)
+        bit = self._lane_bit(lane)
+        self._ensure_settled()
+        values = self._values
+        if net_slot in self._flop_q_set:
+            values[net_slot] ^= bit
+        else:
+            glitch = ~values[net_slot] & bit
+            keep, val = self._glitch_masks.get(net_slot,
+                                               (self._lane_mask, 0))
+            self._glitch_masks[net_slot] = (keep & ~bit, val | glitch)
+            self._forces_version += 1
+            values[net_slot] = values[net_slot] & ~bit | glitch
+        self._stale = True
+
     def release_all(self) -> None:
         """Remove every force and pending glitch; re-settle the circuit."""
         if not self._any_fault():
             return
-        self._restore_glitched_inputs()
+        self._restore_glitched_inputs([*self._transient, *self._glitch_masks])
         self._forced.clear()
         self._force_masks.clear()
         self._transient.clear()
+        self._glitch_masks.clear()
         self._forces_version += 1
         # Recompute from scratch: forced values may have latched into
         # arbitrary downstream state, so settle every cell once.  Flop
@@ -291,23 +341,26 @@ class FaultableGateSimulator(GateSimulator):
         # removing a physical fault does not repair the state it caused.
         self._settle_all()
 
-    def _restore_glitched_inputs(self) -> None:
-        """Put glitched primary-input slots back to their driven bits.
+    def _restore_glitched_inputs(self, slots) -> None:
+        """Put glitched primary-input *slots* back to their driven bits.
 
         A settle only recomputes cell outputs, so a transient on an
-        input net must be healed from the stored bus values.
+        input net must be healed from the stored bus values (and the
+        stuck-at masks other lanes hold on it re-applied).
         """
         values = self._values
-        for net_slot in self._transient:
+        mask = self._lane_mask
+        for net_slot in slots:
             in_bit = self._in_bit.get(net_slot)
             if in_bit is not None:
                 name, k = in_bit
-                values[net_slot] = \
-                    (self._inputs[name] >> k) & 1 and self._lane_mask
+                keep, val = self._force_masks.get(net_slot, (mask, 0))
+                driven = (self._inputs[name] >> k) & 1 and mask
+                values[net_slot] = driven & keep | val
 
     def _heal_transients(self) -> None:
         """End-of-step healing: one-cycle glitches expire here."""
-        self._restore_glitched_inputs()
+        self._restore_glitched_inputs(self._transient)
         self._transient.clear()
         self._forces_version += 1
         if self._compiled is not None:
@@ -344,18 +397,19 @@ class FaultableGateSimulator(GateSimulator):
     def drive(self, **buses: int) -> list[int]:
         dirty = super().drive(**buses)
         values = self._values
+        if self.backend == "bitparallel":
+            for net_slot, (keep, val) in self._lane_forces().items():
+                clamped = values[net_slot] & keep | val
+                if values[net_slot] != clamped:
+                    values[net_slot] = clamped
+                    dirty.append(net_slot)
+            return dirty
         if self._transient:  # forces win over glitches, so clamp first
             for net_slot, glitch in self._transient.items():
                 if values[net_slot] != glitch:
                     values[net_slot] = glitch
                     dirty.append(net_slot)
-        if self.backend == "bitparallel":
-            for net_slot, (keep, val) in self._force_masks.items():
-                clamped = values[net_slot] & keep | val
-                if values[net_slot] != clamped:
-                    values[net_slot] = clamped
-                    dirty.append(net_slot)
-        elif self._forced:
+        if self._forced:
             for net_slot, value in self._forced.items():
                 if values[net_slot] != value:
                     values[net_slot] = value
@@ -415,6 +469,7 @@ class FaultableGateSimulator(GateSimulator):
         self._forced.clear()
         self._force_masks.clear()
         self._transient.clear()
+        self._glitch_masks.clear()
         self._forces_version += 1
         super().restore_state(snap)
 
@@ -459,7 +514,10 @@ class FaultableGateSimulator(GateSimulator):
         self._n_settles += 1
 
     def commit_lanes(self) -> None:
-        """Lane step, phase 2: flop commit plus post-commit clamps."""
+        """Lane step, phase 2: flop commit plus post-commit clamps.
+
+        Lane glitches (:meth:`flip_net_lane`) expire here.
+        """
         if self._lanes == 1:
             raise NetlistError("commit_lanes() needs begin_lanes() first")
         values = self._values
@@ -467,6 +525,10 @@ class FaultableGateSimulator(GateSimulator):
         self._n_fast_commits += 1
         for net_slot, (keep, val) in self._force_masks.items():
             values[net_slot] = values[net_slot] & keep | val
+        if self._glitch_masks:
+            self._restore_glitched_inputs(self._glitch_masks)
+            self._glitch_masks.clear()
+            self._forces_version += 1
         self._stale = True
         self.cycle += 1
         self._n_steps += 1
@@ -518,19 +580,21 @@ class FaultableGateSimulator(GateSimulator):
                 eq &= mask ^ values[net_slot]
         return eq
 
-    def lane_state_snapshot(self) -> list[int]:
-        """Copy of the wide slot state, for steady-state cycle detection.
+    def lane_state_snapshot(self, active: int) -> list[int]:
+        """The *active* lanes' flop bits, for steady-state cycle detection.
 
-        After :meth:`commit_lanes` the slot values (with the constant
-        forcing masks) fully determine every future lane value under a
-        fixed input, so two equal snapshots imply identical evolution
+        After :meth:`commit_lanes`, under a fixed input and constant
+        forcing masks (every glitch expired), a lane's flop bits fully
+        determine its future: each settle recomputes the combinational
+        values from them.  Lanes never interact, so two equal snapshots
+        under the same *active* mask mean every active lane repeats
         forever — the basis of the batch drain's periodicity shortcut.
+        Lanes outside *active* are masked out: a finished lane that
+        keeps toggling would otherwise stretch the period of the whole
+        state far beyond that of the lanes still running.
         """
-        return list(self._values)
-
-    def lane_state_matches(self, snapshot: list[int]) -> bool:
-        """Exact equality against a :meth:`lane_state_snapshot` copy."""
-        return self._values == snapshot
+        values = self._values
+        return [values[q] & active for q in self._flop_q]
 
 
 class GateFaultInjector:
@@ -630,27 +694,39 @@ class GateFaultInjector:
         self._collapse_map = mapping
         return mapping
 
-    def inject(self, fault) -> None:
+    def resolve(self, fault) -> Net:
+        """The net *fault* targets, validated before anything is applied.
+
+        Raises, in the same order and with the same message, wherever
+        :meth:`inject` would — unknown targets or kinds, constant nets —
+        so the campaign scheduler can divert faults that do not resolve
+        to the scalar classifier (which records the exception as
+        ``detected``) and pack every other fault into lanes.
+        """
         if fault.kind == "seu":
             net = self._state_nets.get(fault.target)
             if net is None:
                 raise FaultInjectionError(
                     f"no state (flop output) net named {fault.target!r}"
                 )
-            self.sim.flip_net(net)
-            return
-        net = self._comb_nets.get(fault.target) \
-            or self._state_nets.get(fault.target)
-        if net is None:
-            raise FaultInjectionError(f"no net named {fault.target!r}")
-        if fault.kind == "sa0":
-            self.sim.force_net(net, 0)
-        elif fault.kind == "sa1":
-            self.sim.force_net(net, 1)
-        elif fault.kind == "flip":
-            self.sim.flip_net(net)
         else:
-            raise FaultInjectionError(f"unknown fault kind {fault.kind!r}")
+            net = self._comb_nets.get(fault.target) \
+                or self._state_nets.get(fault.target)
+            if net is None:
+                raise FaultInjectionError(f"no net named {fault.target!r}")
+            if fault.kind not in ("sa0", "sa1", "flip"):
+                raise FaultInjectionError(
+                    f"unknown fault kind {fault.kind!r}"
+                )
+        self.sim._slot_of(net)  # rejects constant and foreign nets
+        return net
+
+    def inject(self, fault) -> None:
+        net = self.resolve(fault)
+        if fault.kind in ("sa0", "sa1"):
+            self.sim.force_net(net, 1 if fault.kind == "sa1" else 0)
+        else:
+            self.sim.flip_net(net)
 
     def clear_faults(self) -> None:
         self.sim.release_all()
@@ -658,28 +734,10 @@ class GateFaultInjector:
     # -- lane-parallel (PPSFP) surface --------------------------------
     @property
     def lane_capacity(self) -> int:
-        """Stuck-at faults one lane-parallel pass can carry (0 = none)."""
+        """Faults one lane-parallel pass can carry (0 = none)."""
         if self.sim.backend == "bitparallel":
             return self.sim.LANE_CAPACITY
         return 0
-
-    def resolve_stuck(self, fault) -> Net:
-        """The net a stuck-at *fault* clamps, validated like inject().
-
-        Raises exactly where :meth:`inject` would — unknown targets,
-        constant nets — so the campaign scheduler can divert unpackable
-        faults to the scalar path up front.
-        """
-        if fault.kind not in ("sa0", "sa1"):
-            raise FaultInjectionError(
-                f"only stuck-at faults pack into lanes, got {fault.kind!r}"
-            )
-        net = self._comb_nets.get(fault.target) \
-            or self._state_nets.get(fault.target)
-        if net is None:
-            raise FaultInjectionError(f"no net named {fault.target!r}")
-        self.sim._slot_of(net)  # rejects constant nets
-        return net
 
     def begin_lanes(self, n: int) -> None:
         self.sim.begin_lanes(n)
@@ -687,10 +745,14 @@ class GateFaultInjector:
     def end_lanes(self) -> None:
         self.sim.end_lanes()
 
-    def force_lane(self, fault, lane: int) -> None:
-        """Apply one stuck-at fault to one lane."""
-        net = self.resolve_stuck(fault)
-        self.sim.force_net_lane(net, 1 if fault.kind == "sa1" else 0, lane)
+    def inject_lane(self, fault, lane: int) -> None:
+        """Apply one fault of any kind to one lane (see :meth:`inject`)."""
+        net = self.resolve(fault)
+        if fault.kind in ("sa0", "sa1"):
+            self.sim.force_net_lane(net, 1 if fault.kind == "sa1" else 0,
+                                    lane)
+        else:
+            self.sim.flip_net_lane(net, lane)
 
     def step_lanes(self, entry: Mapping[str, int]) -> None:
         self.sim.step_lanes(entry)
@@ -707,8 +769,5 @@ class GateFaultInjector:
     def lanes_done(self, done_signal, done_value) -> int:
         return self.sim.lanes_done(done_signal, done_value)
 
-    def lane_state_snapshot(self) -> list[int]:
-        return self.sim.lane_state_snapshot()
-
-    def lane_state_matches(self, snapshot) -> bool:
-        return self.sim.lane_state_matches(snapshot)
+    def lane_state_snapshot(self, active: int) -> list[int]:
+        return self.sim.lane_state_snapshot(active)

@@ -80,7 +80,7 @@ def expocu_injector(flow: str, hardening: str = "none", side: int = 8,
     (:class:`~repro.netlist.sim.GateSimulator`): ``"event"``, the
     code-generated ``"compiled"`` fast path, or ``"bitparallel"`` —
     the lane-packed evaluator that lets the campaign classify up to 64
-    stuck-at faults per replay.
+    faults of any kind per replay.
     """
     if flow == "rtl" and backend != "event":
         raise ValueError(
@@ -149,9 +149,9 @@ def expocu_campaign(
     when workers crash and their faults are re-queued.
     ``backend="compiled"`` swaps the netlist flow onto the
     code-generated gate evaluator; ``backend="bitparallel"`` adds lane
-    packing on top, classifying up to 64 stuck-at faults per replay
-    (transients fall back to scalar lanes) with, again, a
-    byte-identical report.  ``collapse=True`` (netlist flow)
+    packing on top, classifying up to 64 faults per replay — stuck-ats,
+    SEUs and flips alike; only a fault whose target does not resolve
+    replays alone — with, again, a byte-identical report.  ``collapse=True`` (netlist flow)
     statically reduces the simulated set via fault equivalence and
     quiescence pruning — the report stays byte-identical, with
     collapse stats and per-net observability scores attached to the

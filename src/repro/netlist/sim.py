@@ -24,7 +24,7 @@ evaluation backends:
     exactly to the scalar compiled semantics (the all-lanes mask ``M``
     is 1), so the backend doubles as a drop-in compiled engine; the
     fault campaign (:mod:`repro.fault.campaign`) widens it to pack up
-    to 64 stuck-at faults per settle.
+    to 64 faults per settle.
 
 All backends share one state representation (a dense ``list`` indexed
 by per-circuit net *slots*) and are asserted equivalent by a randomized

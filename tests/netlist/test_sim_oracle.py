@@ -12,8 +12,8 @@ engines that must agree bit-for-bit on every cycle:
 This is the safety net under the compiled evaluators: any codegen bug —
 a wrong expression, a missed commit, a stale lazy settle — shows up as
 a divergence on some seed.  The lane property tests additionally pack
-random stuck-at fault subsets into lanes and check each lane against an
-independent scalar compiled simulator carrying that one fault.
+random stuck-at and flip faults into lanes and check each lane against
+an independent scalar compiled simulator carrying that one fault.
 """
 
 import random
@@ -215,8 +215,9 @@ def _forceable_nets(circuit):
 class TestLanePacking:
     """Seeded property: each lane ≡ a scalar compiled sim with its fault.
 
-    A wide simulator carries one random stuck-at fault per lane; an
-    independent scalar compiled simulator carries the same single fault.
+    A wide simulator carries one random fault per lane (a stuck-at, or
+    in the flip test also a transient flip); an independent scalar
+    compiled simulator carries the same single fault.
     Per cycle every lane's pre-commit outputs (``peek_lane_outputs``
     between ``step_lanes`` and ``commit_lanes``) must equal the scalar
     simulator's ``step`` outputs — the exact observation point the
@@ -283,6 +284,58 @@ class TestLanePacking:
             wide.commit_lanes()
             for lane, sim in enumerate(scalars):
                 assert lane_outs[lane] == sim.step(**entry)
+
+    @pytest.mark.parametrize("seed", (1, 4, 9))
+    def test_flips_beside_forces_match_scalar_twins(self, seed):
+        """Lane flips (``flip_net_lane``) mixed with lane stuck-ats.
+
+        Each lane carries a stuck-at or a flip on any faultable net —
+        primary input, combinational output or flop output — from its
+        own cycle on.  Outputs must match the scalar twin's before the
+        commit (the classifier's observation point) and after it, once
+        a glitch has expired and a glitched input has been healed.
+        """
+        rng = random.Random(seed + 31)
+        circuit = random_circuit(seed)
+        forceable = _forceable_nets(circuit)
+        # Every primary input glitches in some lane: healing is only
+        # visible there, through combinational paths to the outputs.
+        picks = [(net, "flip", rng.randrange(5, 10))
+                 for net in circuit.input_buses["x"]]
+        picks += [(rng.choice(forceable), rng.choice(("sa0", "sa1", "flip")),
+                   rng.randrange(5, 10)) for _ in range(12)]
+        assert {kind for _, kind, _ in picks} == {"sa0", "sa1", "flip"}
+        n_lanes = len(picks)
+        stim = _stimulus(seed, 4, cycles=16)
+
+        wide = FaultableGateSimulator(circuit, backend="bitparallel")
+        scalars = [FaultableGateSimulator(circuit, backend="compiled")
+                   for _ in picks]
+        for entry in stim[:5]:
+            wide.step(**entry)
+            for sim in scalars:
+                sim.step(**entry)
+        wide.begin_lanes(n_lanes)
+        for cycle, entry in enumerate(stim[5:], start=5):
+            for lane, (net, kind, at) in enumerate(picks):
+                if at != cycle:
+                    continue
+                if kind == "flip":
+                    wide.flip_net_lane(net, lane)
+                    scalars[lane].flip_net(net)
+                else:
+                    wide.force_net_lane(net, kind == "sa1", lane)
+                    scalars[lane].force_net(net, kind == "sa1")
+            wide.step_lanes(entry)
+            before = [wide.peek_lane_outputs(lane)
+                      for lane in range(n_lanes)]
+            wide.commit_lanes()
+            after = [wide.peek_lane_outputs(lane)
+                     for lane in range(n_lanes)]
+            for lane, sim in enumerate(scalars):
+                assert before[lane] == sim.step(**entry), \
+                    f"lane {lane} diverged from its scalar twin"
+                assert after[lane] == sim.peek_outputs()
 
     def test_end_lanes_keeps_lane_zero(self):
         seed = 2
