@@ -108,6 +108,13 @@ def _fresh_stats(jobs: int) -> dict[str, int]:
     }
 
 
+def _task_label(session: Any, idx: int, task: Any) -> str:
+    """How deadline messages name *task*: the session's ``label(task)``
+    when it defines one, else the task's index."""
+    label = getattr(session, "label", None)
+    return label(task) if callable(label) else f"task[{idx}]"
+
+
 def _worker_main(worker_id: int, session_factory: Callable[[], Any],
                  task_conn, result_conn, task_timeout: float | None,
                  chaos_p: float) -> None:
@@ -159,7 +166,8 @@ def _worker_main(worker_id: int, session_factory: Callable[[], Any],
             os._exit(_CHAOS_EXIT)  # simulated hard crash: no cleanup at all
         start = time.perf_counter()
         try:
-            with time_limit(task_timeout, label=f"task[{idx}]"):
+            with time_limit(task_timeout,
+                            label=_task_label(session, idx, payload)):
                 value = session.run(payload)
         except DeadlineExceeded as exc:
             send(("timeout", worker_id, idx, str(exc)))
@@ -275,8 +283,11 @@ class SupervisedPool:
 
         *on_result* fires exactly once per task index as its result
         becomes durable in the parent (the campaign journals there);
-        *on_meta* fires once with the first worker's session metadata
-        and may raise to abort the run (e.g. resume-consistency checks).
+        *on_meta* fires once with the first session's metadata and may
+        raise to abort the run (e.g. resume-consistency checks).  With
+        at most one task, or ``jobs <= 1``, the tasks run in-process on
+        one session — built even for an empty task list, so *on_meta*
+        always fires.
         """
         self.stats = _fresh_stats(self.jobs)
         self._meta = None
@@ -286,9 +297,7 @@ class SupervisedPool:
         failures: dict[int, dict[str, str]] = {}
         retries: dict[int, int] = {}
         tasks = list(tasks)
-        if not tasks:
-            return PoolOutcome(results, failures, self._meta, self.stats)
-        if self.jobs <= 1 or len(tasks) == 1:
+        if self.jobs <= 1 or len(tasks) <= 1:
             self._run_inline(tasks, range(len(tasks)), results, failures,
                              retries, on_result, on_meta)
             return PoolOutcome(results, failures, self._meta, self.stats)
@@ -477,9 +486,9 @@ class SupervisedPool:
         try:
             self._ctx = self._context()
         except ValueError as exc:
-            self._degrade(f"no usable start method ({exc})")
-            self._run_inline(tasks, range(total), results, failures,
-                             retries, on_result, on_meta)
+            self._degrade(f"no usable start method ({exc})", tasks,
+                          range(total), results, failures, retries,
+                          on_result, on_meta)
             return
         if self._ctx.get_start_method() != "fork":
             try:
@@ -497,12 +506,10 @@ class SupervisedPool:
             if not self._workers:
                 if self._spawn(respawn=True) is None:
                     self._degrade(
-                        "no workers left and the respawn budget is spent"
+                        "no workers left and the respawn budget is spent",
+                        tasks, range(total), results, failures, retries,
+                        on_result, on_meta,
                     )
-                    remaining = [i for i in range(total)
-                                 if i not in results and i not in failures]
-                    self._run_inline(tasks, remaining, results, failures,
-                                     retries, on_result, on_meta)
                     return
             self._dispatch(tasks, pending, results, failures)
             msg = self._poll(block=True)
@@ -764,7 +771,12 @@ class SupervisedPool:
     # inline (degraded / jobs=1) execution
     # ------------------------------------------------------------------
     def _run_inline(self, tasks, indices, results, failures, retries,
-                    on_result, on_meta) -> None:
+                    on_result, on_meta) -> Any:
+        """Run the unresolved *indices* on one in-process session.
+
+        Returns the session; a ``jobs <= 1`` caller owns it and reads
+        its ``stats()`` itself, so no rollup span is recorded here.
+        """
         session = self.session_factory()
         self._check_meta(getattr(session, "meta", None), on_meta)
         for idx in indices:
@@ -773,7 +785,8 @@ class SupervisedPool:
             while True:
                 try:
                     with time_limit(self.task_timeout,
-                                    label=f"task[{idx}]"):
+                                    label=_task_label(session, idx,
+                                                      tasks[idx])):
                         value = session.run(tasks[idx])
                 except DeadlineExceeded as exc:
                     self.stats["timeouts"] += 1
@@ -792,19 +805,27 @@ class SupervisedPool:
                     if on_result is not None:
                         on_result(idx, value)
                     break
-        stats = getattr(session, "stats", None)
-        if callable(stats):
-            summary = stats()
-            if summary is not None:
-                self.tracer.record("inline", 0.0, sim_stats=summary)
+        return session
 
-    def _degrade(self, reason: str) -> None:
+    def _degrade(self, reason: str, tasks, indices, results, failures,
+                 retries, on_result, on_meta) -> None:
+        """Workers are gone for good: finish *indices* in-process.
+
+        The in-process session's counters stand in for the worker
+        rollups as one ``inline`` span.
+        """
         self.stats["fallback"] = 1
         sys.stderr.write(
             f"repro: supervised pool degraded to in-process execution: "
             f"{reason}\n"
         )
         self._shutdown(force=True)
+        session = self._run_inline(tasks, indices, results, failures,
+                                   retries, on_result, on_meta)
+        stats = getattr(session, "stats", None)
+        summary = stats() if callable(stats) else None
+        if summary is not None:
+            self.tracer.record("inline", 0.0, sim_stats=summary)
 
     # ------------------------------------------------------------------
     # teardown

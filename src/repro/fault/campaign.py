@@ -19,13 +19,16 @@ taxonomy and the checkpoint-replay structure follow simulation-based
 fault injection practice (DAVOS); determinism is end-to-end — the same
 seed yields byte-identical reports.
 
-Scaling: the fault list is deduplicated before replay (identical faults
-are simulated once and their record shared), and ``run_campaign(...,
-jobs=N, injector_factory=...)`` shards the unique faults across *N*
-worker processes.  Each worker rebuilds the injector and its golden
-checkpoints from the seeded scenario, so the merged report is
-byte-identical to the sequential run (guarded by a cross-worker golden
-consistency check).
+Execution: the fault list is deduplicated before replay (identical
+faults are simulated once and their record shared) and planned once
+into a task list — lane batches on a lane-capable injector, then single
+faults — which every ``jobs`` value hands to the same
+:class:`~repro.exec.pool.SupervisedPool`.  With ``jobs=1`` the pool
+runs the tasks in-process on the caller's injector; with ``jobs=N`` (and
+an ``injector_factory``) each worker process rebuilds the injector and
+its golden checkpoints from the seeded scenario, so the merged report is
+byte-identical either way (guarded by a cross-worker golden consistency
+check).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.exec.deadline import DeadlineExceeded, time_limit
+from repro.exec.deadline import DeadlineExceeded
 from repro.exec.journal import CampaignJournal, fault_key
 from repro.exec.pool import (
     MetaMismatchError,
@@ -661,42 +664,75 @@ def _outcome_tally(records: Sequence[FaultRecord]) -> dict[str, int]:
 
 
 class _CampaignSession:
-    """Per-worker campaign state for the supervised pool.
+    """One injector plus its checkpointed golden run; classifies tasks.
 
-    Built once per worker process (injector + checkpointed golden run),
-    then classifies one fault per ``run`` call.  ``meta`` is the
-    cross-worker consistency contract: every worker must reproduce the
-    identical golden run or the campaign refuses to merge shards.
-    Module-level so ``functools.partial`` over it pickles under every
-    multiprocessing start method.
+    The campaign's only classification entry point: ``run`` takes one
+    planned task — a single fault, or a tuple of faults for one
+    lane-parallel replay — and returns its record(s).  ``meta`` is the
+    cross-worker consistency contract: every session must reproduce the
+    identical golden run or the campaign refuses to merge results.
+
+    ``jobs=1`` builds the session in the parent on the caller's
+    injector and *tracer*, so each task gets its own span; worker
+    processes build theirs via :func:`_worker_session` and trace
+    nothing (the pool records one rollup span per worker).
     """
 
-    def __init__(self, injector_factory, stimulus, snap_cycles, config):
-        self.injector = injector_factory()
+    def __init__(self, injector, stimulus, snap_cycles, config,
+                 tracer: Tracer = NULL_TRACER):
+        self.injector = injector
         self.stimulus = stimulus
         self.config = config
-        self.golden = _golden_run(self.injector, stimulus,
-                                  config, set(snap_cycles))
-        self.meta = _golden_meta(self.injector, self.golden)
+        self.tracer = tracer
+        self.golden = _golden_run(injector, stimulus, config,
+                                  set(snap_cycles))
+        self.meta = _golden_meta(injector, self.golden)
+
+    @staticmethod
+    def label(task: Fault | tuple) -> str:
+        """The task's span name, also used in deadline messages."""
+        if isinstance(task, tuple):
+            return f"lanes[{len(task)}]@{min(f.cycle for f in task)}"
+        return f"{task.kind}:{task.target}[{task.bit}]@{task.cycle}"
 
     def run(self, task: Fault | tuple) -> FaultRecord | list[FaultRecord]:
-        if isinstance(task, tuple):  # lane batch → one record per fault
+        with self.tracer.span(self.label(task)) as span:
+            if not isinstance(task, tuple):
+                try:
+                    record = _classify(self.injector, task, self.stimulus,
+                                       self.golden, self.config)
+                except DeadlineExceeded:
+                    span.annotate(outcome="timed_out")
+                    raise
+                span.annotate(outcome=record.outcome)
+                return record
             try:
-                return _classify_batch(self.injector, list(task),
-                                       self.stimulus, self.golden,
-                                       self.config)
+                records = _classify_batch(self.injector, list(task),
+                                          self.stimulus, self.golden,
+                                          self.config)
             except Exception:
                 # A lane-parallel surprise must never cost the batch its
                 # classification: fall back to the scalar oracle.
                 self.injector.clear_faults()
-                return [_classify(self.injector, fault, self.stimulus,
-                                  self.golden, self.config)
-                        for fault in task]
-        return _classify(self.injector, task, self.stimulus, self.golden,
-                         self.config)
+                records = [_classify(self.injector, fault, self.stimulus,
+                                     self.golden, self.config)
+                           for fault in task]
+            span.annotate(faults=len(task), outcomes=_outcome_tally(records))
+            return records
 
     def stats(self) -> dict[str, Any] | None:
         return _sim_stats(self.injector)
+
+
+def _worker_session(injector_factory, stimulus, snap_cycles,
+                    config) -> _CampaignSession:
+    """A worker process's session, on an injector of its own.
+
+    Module-level so ``functools.partial`` over it pickles under every
+    multiprocessing start method.
+    """
+    return _CampaignSession(injector_factory(), stimulus, snap_cycles,
+                            config)
 
 
 def _campaign_fingerprint(design: str, hardening: str, seed: int,
@@ -735,6 +771,89 @@ def _campaign_fingerprint(design: str, hardening: str, seed: int,
     })
 
 
+def _collapse_plan(injector, unique: Sequence[Fault],
+                   stimulus: Sequence[Mapping[str, int]],
+                   config: CampaignConfig, tracer: Tracer):
+    """The static pre-campaign reduction of ``collapse=True``.
+
+    Returns ``(canonical, masked, cmap, net_scores)``: each unique
+    fault's equivalence-class representative, whether one instrumented
+    golden pass proves that representative masked, the collapse map
+    itself (journal restore reuses it) and, on gate-level injectors,
+    each addressable net's SCOAP observability score.
+    """
+    from repro.fault.profile import quiescence_profile
+
+    cmap = injector.fault_collapse_map()
+    canonical = [collapse_fault(fault, cmap) for fault in unique]
+    with tracer.span("quiescence-profile") as profile_span:
+        profile = quiescence_profile(injector, stimulus, config)
+    profile_span.annotate(targets=len(profile.quiet),
+                          sample_points=profile.sample_points)
+    masked = [profile.masks(fault) for fault in canonical]
+    net_scores: dict[str, float] | None = None
+    if getattr(injector, "flow", None) == "netlist":
+        from repro.analyze.netlist import scoap_analysis
+
+        testability = scoap_analysis(injector.sim.circuit)
+        net_scores = {
+            name: testability.co[net.uid]
+            for name, net in injector.addressable_nets().items()
+        }
+    return canonical, masked, cmap, net_scores
+
+
+def _restore_journal(entries: Mapping[str, Mapping[str, Any]],
+                     sim_faults: Sequence[Fault],
+                     cmap: Mapping[tuple[str, str], tuple[str, str]],
+                     ) -> list[FaultRecord | None]:
+    """Each simulated fault's journaled record, ``None`` if not stored.
+
+    A journal written by a plain run keys its records by the original
+    fault ids; with a collapse map every entry is also indexed under its
+    equivalence-class representative, so a collapsed resume can reuse a
+    member's record for the class it now simulates.  Classification is
+    class-invariant — the property collapse's byte-identity rests on —
+    so any member's record stands in for the representative; it keeps
+    the member's identity until :func:`_expand_records` rewraps it.
+    """
+    by_rep: dict[str, Mapping[str, Any]] = {}
+    for doc in entries.values() if cmap else ():
+        fault = Fault(doc["fault"]["kind"], doc["fault"]["target"],
+                      int(doc["fault"]["bit"]), int(doc["fault"]["cycle"]))
+        by_rep.setdefault(fault_key(collapse_fault(fault, cmap).as_dict()),
+                          doc)
+    records: list[FaultRecord | None] = []
+    for fault in sim_faults:
+        key = fault_key(fault.as_dict())
+        doc = entries.get(key) or by_rep.get(key)
+        records.append(None if doc is None else deserialize_fault_record(doc))
+    return records
+
+
+def _expand_records(unique: Sequence[Fault], canonical: Sequence[Fault],
+                    masked: Sequence[bool],
+                    sim_records: Sequence[FaultRecord | None],
+                    sim_index: Mapping[Fault, int],
+                    ) -> list[FaultRecord | None]:
+    """Spread the simulated records back over the unique fault list.
+
+    A pruned fault gets a synthesized masked record, a fault that is
+    its own representative shares the simulated record object, and any
+    other fault gets a rewrap carrying its own identity.  Quarantined
+    representatives stay ``None``; the report lists them as errors.
+    """
+    expanded: list[FaultRecord | None] = []
+    for fault, rep, pruned in zip(unique, canonical, masked):
+        record = (FaultRecord(fault, "masked") if pruned
+                  else sim_records[sim_index[rep]])
+        if record is not None and record.fault != fault:
+            record = FaultRecord(fault, record.outcome,
+                                 record.first_divergence, record.detail)
+        expanded.append(record)
+    return expanded
+
+
 def run_campaign(
     injector,
     stimulus: Sequence[Mapping[str, int]],
@@ -756,21 +875,24 @@ def run_campaign(
 ) -> CampaignResult:
     """Golden run + per-fault replay + classification (see module doc).
 
-    With ``jobs > 1`` the deduplicated fault list runs on a
-    :class:`~repro.exec.pool.SupervisedPool` of worker processes;
-    *injector_factory* (a picklable zero-argument callable) rebuilds
-    the injector in each worker, and *injector* may then be ``None``.
-    The merged report is byte-identical to the ``jobs=1`` run, and it
-    stays byte-identical when workers crash mid-campaign: the dead
-    worker's in-flight fault is re-queued onto a respawned worker.
-    When workers cannot be spawned at all the campaign degrades to
-    in-process sequential execution with a one-line warning.
+    The deduplicated fault list is planned once into tasks — lane
+    batches when the injector is lane-capable, then single faults —
+    that every *jobs* value (clamped to the task count) runs through a
+    :class:`~repro.exec.pool.SupervisedPool`: in-process on *injector*
+    for ``jobs=1``, else on worker processes that each rebuild the
+    injector with *injector_factory* (picklable, zero-argument; the
+    parent calls it once itself to plan lanes when *injector* is
+    ``None``).  The merged report is byte-identical to the ``jobs=1``
+    run, also when workers crash mid-campaign (the dead worker's
+    in-flight task is re-queued onto a respawned worker) or cannot be
+    spawned at all (the pool degrades to in-process execution).
 
     *fault_timeout* puts a wall-clock deadline (seconds) on each fault
     replay, complementing the cycle budget: a fault that overruns is
     retried up to *max_retries* times (on a fresh worker when
     parallel), then quarantined into the result's ``errors`` section —
-    never misclassified, never able to stall the campaign.
+    never misclassified, never able to stall the campaign.  The
+    deadline is per fault, so it turns lane batching off.
 
     *journal* names a crash-safe append-only checkpoint file
     (``repro-journal/v1``); with ``resume=True`` faults already
@@ -791,12 +913,15 @@ def run_campaign(
     object only.  At RTL level ``collapse=True`` is a no-op.
 
     With a :class:`~repro.obs.profiler.Tracer`, the campaign records a
-    ``campaign`` root span with a ``golden`` child, one span per unique
-    fault replay (sequential) or one rollup span per worker
-    (``jobs > 1``), plus faults/sec throughput, per-outcome tallies,
-    the simulator's work counters and the resilience counters
-    (respawns, re-queues, timeouts, journal hits — also on the
-    result's ``exec_stats``) as span metadata.
+    ``campaign`` root span holding a ``replay`` span around the pool
+    run.  With ``jobs=1`` a ``golden`` span precedes it, ``replay``
+    holds one span per task (``lanes[N]@<cycle>`` per lane batch,
+    ``<kind>:<target>[<bit>]@<cycle>`` per single fault) and the
+    simulator's work counters annotate ``campaign``; with ``jobs > 1``
+    ``replay`` holds one rollup span per worker.  ``replay`` carries
+    faults/sec and per-outcome tallies, and ``campaign`` the resilience
+    counters (respawns, re-queues, timeouts, journal hits — also on the
+    result's ``exec_stats``).
     """
     tracer = tracer or NULL_TRACER
     config = config or CampaignConfig()
@@ -818,138 +943,74 @@ def run_campaign(
         raise ValueError(
             "run_campaign(resume=True) needs a journal path to resume from"
         )
-    max_retries = max(0, int(max_retries))
 
     # Identical faults replay identically (determinism guarantee), so
     # simulate each unique fault once and share its record.
-    unique: list[Fault] = []
     index_of: dict[Fault, int] = {}
     for fault in faults:
-        if fault not in index_of:
-            index_of[fault] = len(unique)
-            unique.append(fault)
-
-    # Static pre-campaign reduction (collapse=True): canonicalize each
-    # fault to its equivalence-class representative and prove stuck-at
-    # faults masked from one instrumented golden pass; only what
-    # survives is simulated.
-    canonical = unique
-    masked_flags = [False] * len(unique)
-    collapse_stats: dict[str, int] | None = None
+        index_of.setdefault(fault, len(index_of))
+    unique = list(index_of)
+    canonical, masked = unique, [False] * len(unique)
+    cmap: Mapping[tuple[str, str], tuple[str, str]] = {}
     net_scores: dict[str, float] | None = None
     if collapse:
         if injector is None:
             injector = injector_factory()
-        cmap = injector.fault_collapse_map()
-        canonical = [collapse_fault(fault, cmap) for fault in unique]
-        from repro.fault.profile import quiescence_profile
-
-        with tracer.span("quiescence-profile") as profile_span:
-            profile = quiescence_profile(injector, stimulus, config)
-        profile_span.annotate(targets=len(profile.quiet),
-                              sample_points=profile.sample_points)
-        masked_flags = [profile.masks(fault) for fault in canonical]
-        if getattr(injector, "flow", None) == "netlist":
-            from repro.analyze.netlist import scoap_analysis
-
-            testability = scoap_analysis(injector.sim.circuit)
-            net_scores = {
-                name: testability.co[net.uid]
-                for name, net in injector.addressable_nets().items()
-            }
-    sim_faults: list[Fault] = []
+        canonical, masked, cmap, net_scores = _collapse_plan(
+            injector, unique, stimulus, config, tracer)
     sim_index: dict[Fault, int] = {}
-    for fault, masked in zip(canonical, masked_flags):
-        if masked or fault in sim_index:
-            continue
-        sim_index[fault] = len(sim_faults)
-        sim_faults.append(fault)
-    if collapse:
-        collapse_stats = {
-            "faults": len(faults),
-            "unique": len(unique),
-            "equivalence_merged": len(unique) - len(set(canonical)),
-            "quiescence_pruned": sum(masked_flags),
-            "simulated": len(sim_faults),
-        }
+    for fault, pruned in zip(canonical, masked):
+        if not pruned:
+            sim_index.setdefault(fault, len(sim_index))
+    sim_faults = list(sim_index)
+    collapse_stats = None if not collapse else {
+        "faults": len(faults),
+        "unique": len(unique),
+        "equivalence_merged": len(unique) - len(set(canonical)),
+        "quiescence_pruned": sum(masked),
+        "simulated": len(sim_faults),
+    }
 
     # Checkpoint/resume: restore already-journaled records, simulate
     # only what remains.  The journal stays open for the whole run so
     # every fresh record is durable the moment it is classified.
     sim_records: list[FaultRecord | None] = [None] * len(sim_faults)
     sim_failures: dict[int, dict[str, str]] = {}
-    journal_hits = 0
     jrnl: CampaignJournal | None = None
-    journal_meta: dict[str, Any] | None = None
     try:
         if journal is not None:
             fingerprint = _campaign_fingerprint(design, hardening, seed,
                                                 stimulus, config, faults)
             jrnl = CampaignJournal(journal, fingerprint).open(resume=resume)
-            journal_meta = jrnl.meta
-            canonical_entries: dict[str, dict[str, Any]] = {}
-            if collapse and jrnl.entries:
-                # A journal written by a plain run keys its records by
-                # the original fault ids; index every entry under its
-                # equivalence-class representative too, so a collapsed
-                # resume can reuse a member's record for the class it
-                # now simulates.  Classification is class-invariant —
-                # the property collapse's byte-identity rests on — so
-                # any member's record stands in for the representative.
-                for doc in jrnl.entries.values():
-                    entry_fault = Fault(
-                        doc["fault"]["kind"], doc["fault"]["target"],
-                        int(doc["fault"]["bit"]), int(doc["fault"]["cycle"]),
-                    )
-                    rep_key = fault_key(
-                        collapse_fault(entry_fault, cmap).as_dict()
-                    )
-                    canonical_entries.setdefault(rep_key, doc)
-            for k, fault in enumerate(sim_faults):
-                key = fault_key(fault.as_dict())
-                doc = jrnl.entries.get(key)
-                if doc is None:
-                    doc = canonical_entries.get(key)
-                if doc is not None:
-                    record = deserialize_fault_record(doc)
-                    if record.fault != fault:
-                        record = FaultRecord(fault, record.outcome,
-                                             record.first_divergence,
-                                             record.detail)
-                    sim_records[k] = record
-                    journal_hits += 1
+            sim_records = _restore_journal(jrnl.entries, sim_faults, cmap)
+        journal_meta = meta = jrnl.meta if jrnl is not None else None
         pending = [k for k, record in enumerate(sim_records)
                    if record is None]
+        if injector is None and (pending or meta is None):
+            injector = injector_factory()
 
-        jobs = max(1, min(int(jobs), max(1, len(pending))))
+        # One task per lane batch (a tuple of faults classified in one
+        # bit-parallel replay), then one per remaining fault; task_map
+        # resolves each task back to its sim indices.
+        batches: list[list[int]] = []
+        scalar = pending
+        if (pending and getattr(injector, "lane_capacity", 0) > 1
+                and fault_timeout is None):
+            batches, scalar = _lane_batches(injector, sim_faults, pending)
+        task_map = batches + [[k] for k in scalar]
+        tasks: list[Any] = [tuple(sim_faults[k] for k in batch)
+                            for batch in batches]
+        tasks += [sim_faults[k] for k in scalar]
+        jobs = max(1, min(int(jobs), len(tasks)))
         exec_stats: dict[str, int] = {
             "jobs": jobs,
             "simulated": len(pending),
-            "journal_hits": journal_hits,
+            "journal_hits": len(sim_records) - len(pending),
             "timeouts": 0,
             "timeout_retries": 0,
             "quarantined": 0,
-            "lane_batches": 0,
+            "lane_batches": len(batches),
         }
-
-        # Bit-parallel lane packing (PPSFP): after collapse has
-        # canonicalized the list, pack every fault whose target resolves
-        # into lanes so one replay classifies up to ``lane_capacity`` of
-        # them.  Per-fault wall-clock deadlines keep their scalar
-        # quarantine semantics, so batching steps aside when a
-        # *fault_timeout* is set; with ``jobs > 1`` the parent needs an
-        # *injector* (not just the factory) to plan the batches —
-        # without one every fault stays scalar.
-        if pending and jobs == 1 and injector is None:
-            injector = injector_factory()
-        lane_cap = getattr(injector, "lane_capacity", 0)
-        batches: list[list[int]] = []
-        scalar_pending = list(pending)
-        if pending and lane_cap > 1 and fault_timeout is None:
-            batches, scalar_pending = _lane_batches(injector,
-                                                    sim_faults, pending)
-            exec_stats["lane_batches"] = len(batches)
-        meta = journal_meta
 
         def check_meta(fresh_meta: Mapping[str, Any]) -> None:
             if journal_meta is not None and dict(fresh_meta) != journal_meta:
@@ -961,57 +1022,51 @@ def run_campaign(
             if jrnl is not None:
                 jrnl.set_meta(fresh_meta)
 
+        def on_result(i: int, result: Any) -> None:
+            records = result if isinstance(result, list) else [result]
+            for k, record in zip(task_map[i], records):
+                sim_records[k] = record
+                if jrnl is not None:
+                    jrnl.append_record(serialize_fault_record(record))
+
         campaign_ctx = tracer.span("campaign", hardening=hardening,
                                    seed=seed, faults=len(faults),
                                    unique_faults=len(unique),
                                    simulated=len(sim_faults),
                                    jobs=jobs, cycles=len(stimulus))
         with campaign_ctx as campaign_span:
-            if pending and jobs > 1:
+            # A full resume restored every record and the golden facts
+            # from the journal: nothing to simulate.  Otherwise run the
+            # tasks — none at all still builds one session, whose golden
+            # run supplies the report header's facts.
+            if tasks or meta is None:
                 snap_cycles = tuple(sorted(
-                    {sim_faults[k].cycle for k in pending} | {0}
-                ))
-                session_factory = functools.partial(
-                    _CampaignSession, injector_factory, stimulus,
-                    snap_cycles, config,
-                )
+                    {sim_faults[k].cycle for k in pending} | {0}))
+                session: _CampaignSession | None = None
+                if jobs == 1:
+                    with tracer.span("golden") as golden_span:
+                        session = _CampaignSession(injector, stimulus,
+                                                   snap_cycles, config,
+                                                   tracer)
+                    golden_span.annotate(
+                        selfcheck=session.golden.selfcheck,
+                        done=session.golden.done,
+                        drain_cycles=session.golden.drain_cycles,
+                    )
                 pool = SupervisedPool(
-                    session_factory, jobs,
+                    (lambda: session) if session is not None
+                    else functools.partial(_worker_session, injector_factory,
+                                           stimulus, snap_cycles, config),
+                    jobs,
                     task_timeout=fault_timeout,
-                    max_retries=max_retries,
+                    max_retries=max(0, int(max_retries)),
                     start_method=start_method,
                     tracer=tracer,
                 )
-
-                # A task is one scalar fault or one lane batch (a tuple
-                # of faults classified in a single bit-parallel replay);
-                # task_map resolves each task back to its sim indices.
-                task_map: list[list[int]] = [list(batch)
-                                             for batch in batches]
-                tasks: list[Any] = [
-                    tuple(sim_faults[k] for k in batch)
-                    for batch in batches
-                ]
-                for k in scalar_pending:
-                    task_map.append([k])
-                    tasks.append(sim_faults[k])
-
-                def on_result(i: int, result: Any) -> None:
-                    records = (result if isinstance(result, list)
-                               else [result])
-                    for k, record in zip(task_map[i], records):
-                        sim_records[k] = record
-                        if jrnl is not None:
-                            jrnl.append_record(
-                                serialize_fault_record(record)
-                            )
-
-                with tracer.span("shards") as shard_span:
+                with tracer.span("replay") as replay_span:
                     try:
-                        outcome = pool.run(
-                            tasks,
-                            on_result=on_result, on_meta=check_meta,
-                        )
+                        outcome = pool.run(tasks, on_result=on_result,
+                                           on_meta=check_meta)
                     except TaskPickleError as exc:
                         raise CampaignError(
                             "run_campaign(jobs>1) needs an injector_factory "
@@ -1020,156 +1075,43 @@ def run_campaign(
                         ) from exc
                     except MetaMismatchError as exc:
                         raise CampaignError(
-                            "parallel campaign shards disagree on the "
+                            "parallel campaign workers disagree on the "
                             "golden run; the injector factory is not "
                             "deterministic across processes"
                         ) from exc
                     except PoolError as exc:
                         raise CampaignError(str(exc)) from exc
-                if shard_span.dur:
-                    shard_span.annotate(
-                        faults_per_s=round(len(pending) / shard_span.dur, 2)
-                    )
-                meta = outcome.meta if outcome.meta is not None else meta
-                exec_stats.update(pool.stats)
-                exec_stats["simulated"] = len(pending)
-                exec_stats["journal_hits"] = journal_hits
-                for i, failure in outcome.failures.items():
-                    for k in task_map[i]:
-                        sim_failures[k] = failure
-            elif pending or meta is None:
-                # Sequential replay — also the path a full resume with a
-                # meta-less journal takes, just to rebuild the golden
-                # facts the report header needs.
-                if injector is None:
-                    injector = injector_factory()
-                snap_cycles = {sim_faults[k].cycle for k in pending} | {0}
-                with tracer.span("golden") as golden_span:
-                    golden = _golden_run(injector, stimulus, config,
-                                         snap_cycles)
-                golden_span.annotate(selfcheck=golden.selfcheck,
-                                     done=golden.done,
-                                     drain_cycles=golden.drain_cycles)
-                fresh_meta = _golden_meta(injector, golden)
-                check_meta(fresh_meta)
-                meta = fresh_meta
-                replayed: list[FaultRecord] = []
-                with tracer.span("replay") as replay_span:
-                    for batch in batches:
-                        batch_faults = [sim_faults[k] for k in batch]
-                        label = (f"lanes[{len(batch)}]"
-                                 f"@{min(f.cycle for f in batch_faults)}")
-                        with tracer.span(label) as batch_span:
-                            try:
-                                batch_records = _classify_batch(
-                                    injector, batch_faults, stimulus,
-                                    golden, config,
-                                )
-                            except Exception:
-                                injector.clear_faults()
-                                batch_records = [
-                                    _classify(injector, fault, stimulus,
-                                              golden, config)
-                                    for fault in batch_faults
-                                ]
-                            batch_span.annotate(
-                                faults=len(batch),
-                                outcomes=_outcome_tally(batch_records),
-                            )
-                        for k, record in zip(batch, batch_records):
-                            replayed.append(record)
-                            sim_records[k] = record
-                            if jrnl is not None:
-                                jrnl.append_record(
-                                    serialize_fault_record(record)
-                                )
-                    for k in scalar_pending:
-                        fault = sim_faults[k]
-                        label = (f"{fault.kind}:{fault.target}"
-                                 f"[{fault.bit}]@{fault.cycle}")
-                        record: FaultRecord | None = None
-                        detail = ""
-                        with tracer.span(label) as fault_span:
-                            for attempt in range(max_retries + 1):
-                                try:
-                                    with time_limit(fault_timeout,
-                                                    label=label):
-                                        record = _classify(
-                                            injector, fault, stimulus,
-                                            golden, config,
-                                        )
-                                    break
-                                except DeadlineExceeded as exc:
-                                    exec_stats["timeouts"] += 1
-                                    detail = str(exc)
-                                    if attempt < max_retries:
-                                        exec_stats["timeout_retries"] += 1
-                        if record is None:
-                            fault_span.annotate(outcome="timed_out")
-                            exec_stats["quarantined"] += 1
-                            sim_failures[k] = {"error": "timed_out",
-                                               "detail": detail}
-                        else:
-                            fault_span.annotate(outcome=record.outcome)
-                            replayed.append(record)
-                            sim_records[k] = record
-                            if jrnl is not None:
-                                jrnl.append_record(
-                                    serialize_fault_record(record)
-                                )
-                replay_span.annotate(
-                    faults=len(pending),
-                    outcomes=_outcome_tally(replayed),
-                )
+                replayed = [sim_records[k] for k in pending
+                            if sim_records[k] is not None]
+                replay_span.annotate(faults=len(pending),
+                                     outcomes=_outcome_tally(replayed))
                 if replay_span.dur:
                     replay_span.annotate(
                         faults_per_s=round(len(pending) / replay_span.dur, 2)
                     )
-                stats = _sim_stats(injector)
+                meta = outcome.meta
+                exec_stats.update(pool.stats)
+                for i, failure in outcome.failures.items():
+                    for k in task_map[i]:
+                        sim_failures[k] = failure
+                stats = session.stats() if session is not None else None
                 if stats is not None:
                     campaign_span.annotate(sim_stats=stats)
-            # else: full resume — every record and the golden metadata
-            # came from the journal; nothing to simulate.
+            unique_records = _expand_records(unique, canonical, masked,
+                                             sim_records, sim_index)
             if collapse:
-                # Expand representative records back over the full list:
-                # a synthesized masked record for pruned faults, the
-                # shared record object where the fault was its own
-                # representative, and a rewrap carrying the original
-                # fault otherwise.  Quarantined representatives stay
-                # ``None`` and surface in the errors section below.
-                unique_records: list[FaultRecord | None] = []
-                for fault, rep, masked in zip(unique, canonical,
-                                              masked_flags):
-                    if masked:
-                        unique_records.append(FaultRecord(fault, "masked"))
-                        continue
-                    record = sim_records[sim_index[rep]]
-                    if record is None or rep == fault:
-                        unique_records.append(record)
-                    else:
-                        unique_records.append(FaultRecord(
-                            fault, record.outcome,
-                            record.first_divergence, record.detail,
-                        ))
-                if jrnl is not None:
-                    # Journal the expanded records too — not just the
-                    # representatives — so a later resume of the same
-                    # campaign (collapsed or plain) finds every fault
-                    # under its own key.  append_record dedups by key,
-                    # so representatives are not re-written.
-                    for record in unique_records:
-                        if record is not None:
-                            jrnl.append_record(
-                                serialize_fault_record(record)
-                            )
+                # Journal the expanded records too, so a later resume of
+                # the same campaign (collapsed or plain) finds every
+                # fault under its own key; append_record dedups by key.
+                for record in unique_records:
+                    if jrnl is not None and record is not None:
+                        jrnl.append_record(serialize_fault_record(record))
                 campaign_span.annotate(
                     collapse=collapse_stats,
                     expanded_records=sum(
                         1 for record in unique_records if record is not None
                     ),
                 )
-            else:
-                unique_records = sim_records
             campaign_span.annotate(design=design or meta["design"],
                                    flow=meta["flow"],
                                    resilience=dict(exec_stats))
@@ -1180,10 +1122,7 @@ def run_campaign(
             u = index_of[fault]
             record = unique_records[u]
             if record is None:
-                failure = sim_failures.get(
-                    sim_index[canonical[u]],
-                    {"error": "timed_out", "detail": ""},
-                )
+                failure = sim_failures[sim_index[canonical[u]]]
                 errors.append({"fault": fault.as_dict(),
                                "error": failure["error"],
                                "detail": failure["detail"]})

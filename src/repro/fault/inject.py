@@ -130,13 +130,15 @@ class FaultableGateSimulator(GateSimulator):
     Forced nets are clamped at the three points where the base simulator
     writes net values — input drive, combinational evaluation and flop
     commit — under *every* evaluation backend: the event engine clamps
-    in ``_eval``/``drive``/the commit loop, the compiled engine runs its
-    generated ``settle_forced`` variant and re-applies the clamps after
-    the generated commit, and the bitparallel engine does the same with
-    per-slot ``(keep, value)`` lane masks so each lane can hold its own
-    fault — a stuck-at (:meth:`force_net_lane`) or a transient
-    (:meth:`flip_net_lane`, a one-step glitch mask composed with the
-    stuck-at masks of the other lanes).  The fault-free hot path is
+    in ``_eval`` and the commit loop from ``_forced``/``_transient``;
+    both generated engines run ``settle_forced`` over per-slot
+    ``(keep, value)`` masks (a scalar clamp is ``(0, value)``) and
+    re-apply them after the generated commit, so on the bitparallel
+    engine each lane can hold its own fault — a stuck-at
+    (:meth:`force_net_lane`) or a transient (:meth:`flip_net_lane`, a
+    one-step glitch mask composed with the stuck-at masks of the other
+    lanes).  Input drive clamps through the same masks on every
+    backend.  The fault-free hot path is
     untouched because clamping only happens in this subclass, and only
     while a force is active.  Forced slots are keyed by value-list slot
     (see :class:`~repro.netlist.sim.GateSimulator`).
@@ -165,9 +167,10 @@ class FaultableGateSimulator(GateSimulator):
     def __init__(self, circuit: Circuit, backend: str = "event") -> None:
         # Before super().__init__: the base constructor settles the
         # circuit through our clamped _eval, which reads these.
+        #: Event engine: slot -> stuck-at value.
         self._forced: dict[int, int] = {}
-        #: bitparallel: slot -> (keep, value) lane masks; the settled
-        #: expression becomes ``expr & keep | value``.
+        #: Every backend: slot -> (keep, value) stuck-at masks; a
+        #: settled expression becomes ``expr & keep | value``.
         self._force_masks: dict[int, tuple[int, int]] = {}
         #: One-cycle transient clamps: slot -> glitch value, healed
         #: after the next committed step.
@@ -212,17 +215,11 @@ class FaultableGateSimulator(GateSimulator):
         return bool(self._forced or self._force_masks or self._transient
                     or self._glitch_masks)
 
-    def _scalar_forces(self) -> dict[int, int]:
-        """The slot clamps for the scalar generated ``settle_forced``."""
-        if self._transient:
-            return {**self._transient, **self._forced}
-        return self._forced
-
     def _lane_forces(self) -> dict[int, tuple[int, int]]:
-        """The ``(keep, value)`` clamps for the wide ``settle_forced``.
+        """The ``(keep, value)`` clamps for the generated ``settle_forced``.
 
-        Stuck-at masks win over glitches on the lanes they clamp, like
-        forces over transients in scalar mode.
+        Scalar transients become ``(0, glitch)`` pairs; stuck-at masks
+        win over glitches on the lanes they clamp.
         """
         forces = self._force_masks
         if self._transient:
@@ -249,9 +246,8 @@ class FaultableGateSimulator(GateSimulator):
         self._ensure_settled()
         value &= 1
         self._forced[net_slot] = value
+        self._force_masks[net_slot] = (0, value and self._lane_mask)
         self._forces_version += 1
-        if self.backend == "bitparallel":
-            self._force_masks[net_slot] = (0, value and self._lane_mask)
         if self._values[net_slot] != value:
             self._values[net_slot] = value
             if self._compiled is not None:
@@ -372,12 +368,7 @@ class FaultableGateSimulator(GateSimulator):
     def _settle_all(self) -> None:
         if self._compiled is not None and self._any_fault():
             self._n_settles += 1
-            if self.backend == "bitparallel":
-                self._compiled.settle_forced(self._values,
-                                             self._lane_forces())
-            else:
-                self._compiled.settle_forced(self._values,
-                                             self._scalar_forces())
+            self._compiled.settle_forced(self._values, self._lane_forces())
             self._stale = False
             return
         super()._settle_all()
@@ -397,23 +388,11 @@ class FaultableGateSimulator(GateSimulator):
     def drive(self, **buses: int) -> list[int]:
         dirty = super().drive(**buses)
         values = self._values
-        if self.backend == "bitparallel":
-            for net_slot, (keep, val) in self._lane_forces().items():
-                clamped = values[net_slot] & keep | val
-                if values[net_slot] != clamped:
-                    values[net_slot] = clamped
-                    dirty.append(net_slot)
-            return dirty
-        if self._transient:  # forces win over glitches, so clamp first
-            for net_slot, glitch in self._transient.items():
-                if values[net_slot] != glitch:
-                    values[net_slot] = glitch
-                    dirty.append(net_slot)
-        if self._forced:
-            for net_slot, value in self._forced.items():
-                if values[net_slot] != value:
-                    values[net_slot] = value
-                    dirty.append(net_slot)
+        for net_slot, (keep, val) in self._lane_forces().items():
+            clamped = values[net_slot] & keep | val
+            if values[net_slot] != clamped:
+                values[net_slot] = clamped
+                dirty.append(net_slot)
         return dirty
 
     def _step_event(self, buses) -> dict[str, int]:
@@ -445,20 +424,13 @@ class FaultableGateSimulator(GateSimulator):
         self.drive(**buses)  # re-applies input clamps
         engine = self._compiled
         values = self._values
-        if self.backend == "bitparallel":
-            engine.settle_forced(values, self._lane_forces())
-        else:
-            engine.settle_forced(values, self._scalar_forces())
+        engine.settle_forced(values, self._lane_forces())
         self._n_settles += 1
         outputs = engine.peek(values)
         engine.commit(values)
         self._n_fast_commits += 1
-        if self.backend == "bitparallel":  # clamp committed flops
-            for net_slot, (keep, val) in self._force_masks.items():
-                values[net_slot] = values[net_slot] & keep | val
-        else:
-            for net_slot, value in self._forced.items():
-                values[net_slot] = value
+        for net_slot, (keep, val) in self._force_masks.items():
+            values[net_slot] = values[net_slot] & keep | val  # flop clamps
         self._stale = True
         self.cycle += 1
         if self._transient:

@@ -128,8 +128,9 @@ class _CompiledEngine:
     """The code-generated evaluator functions for one circuit.
 
     ``settle(v)``            full combinational settle, straight-line;
-    ``settle_forced(v, f)``  same, clamping slots present in *f* (the
-                             fault subsystem's stuck-at forcing);
+    ``settle_forced(v, f)``  same, clamping the slots present in *f*
+                             (the fault subsystem's forcing) with
+                             per-slot ``(keep, value)`` mask pairs;
     ``commit(v)``            simultaneous flop commit (one tuple
                              assignment: every D is read before any Q
                              is written);
@@ -142,10 +143,10 @@ class _CompiledEngine:
     ``set_mask(m)``          rebind the generated namespace's all-lanes
                              mask ``M`` (1 = scalar mode).
 
-    Wide forcing masks are per-slot ``(keep, value)`` pairs: the settled
-    expression becomes ``expr & keep | value``, so individual lanes are
-    clamped while the others evaluate freely — scalar forcing is the
-    degenerate pair ``(0, value)``.
+    A forced slot's settled expression becomes ``expr & keep | value``,
+    so on a wide engine individual lanes are clamped while the others
+    evaluate freely; a scalar clamp is the degenerate pair
+    ``(0, value)``.
     """
 
     __slots__ = ("settle", "settle_forced", "commit", "peek", "source",
@@ -214,10 +215,10 @@ def compile_engine(circuit: Circuit, order: list[Cell],
 
     With ``wide=True`` the lane-parallel variant is generated: cell
     expressions come from :func:`_cell_expr_wide` over the namespace
-    global ``M`` (initially 1, i.e. scalar mode), forcing clamps take
-    ``(keep, value)`` mask pairs instead of scalar values, and a
-    ``peek_lane`` extractor is added.  ``peek`` itself stays the scalar
-    extractor — it is only meaningful while ``M == 1``.
+    global ``M`` (initially 1, i.e. scalar mode), and a ``peek_lane``
+    extractor is added.  ``peek`` itself stays the scalar extractor —
+    it is only meaningful while ``M == 1``.  Both variants share one
+    ``settle_forced`` form over ``(keep, value)`` clamps.
     """
     cell_expr = _cell_expr_wide if wide else _cell_expr
     settle_lines: list[str] = []
@@ -227,17 +228,12 @@ def compile_engine(circuit: Circuit, order: list[Cell],
         out = slot[cell.pins[cell.ctype.outputs[0]].uid]
         ins = [slot[n.uid] for n in cell.input_nets()]
         expr = cell_expr(cell.ctype.name, ins)
+        spec_index[out] = (len(settle_lines), expr)
         settle_lines.append(f"    v[{out}] = {expr}")
-        if wide:
-            spec_index[out] = (len(settle_lines) - 1, expr)
-            forced_lines.append(
-                f"    v[{out}] = ({expr}) if {out} not in f "
-                f"else (({expr}) & f[{out}][0] | f[{out}][1])"
-            )
-        else:
-            forced_lines.append(
-                f"    v[{out}] = f[{out}] if {out} in f else ({expr})"
-            )
+        forced_lines.append(
+            f"    v[{out}] = ({expr}) if {out} not in f "
+            f"else (({expr}) & f[{out}][0] | f[{out}][1])"
+        )
     if flops:
         lhs = ", ".join(f"v[{slot[f.pins['q'].uid]}]" for f in flops)
         rhs = ", ".join(f"v[{slot[f.pins['d'].uid]}]" for f in flops)

@@ -10,6 +10,7 @@ from repro.exec import (
     SupervisedPool,
     TaskPickleError,
 )
+from repro.obs import Tracer
 
 
 class _SquareSession:
@@ -36,6 +37,13 @@ class _SleepSession:
     def run(self, payload):
         time.sleep(payload)
         return payload
+
+
+class _LabelledSleepSession(_SleepSession):
+    """Names its tasks, so deadline messages can name them too."""
+
+    def label(self, payload):
+        return f"sleep({payload})"
 
 
 def _no_children():
@@ -79,6 +87,33 @@ class TestSupervisedPool:
         assert outcome.stats["inline_tasks"] == 1
         assert _no_children()
 
+    def test_empty_run_still_reports_meta(self):
+        captured = []
+        pool = SupervisedPool(_SquareSession, jobs=3)
+        outcome = pool.run([], on_meta=captured.append)
+        assert outcome.results == {}
+        assert captured == [_SquareSession.meta] == [outcome.meta]
+        assert _no_children()
+
+    def test_inline_run_records_no_rollup(self):
+        # An in-process caller owns its session and reads its stats.
+        tracer = Tracer("pool")
+        SupervisedPool(_SquareSession, jobs=1, tracer=tracer).run([1, 2])
+        assert tracer.roots == []
+
+    def test_degraded_run_records_inline_rollup(self, monkeypatch):
+        def no_start_method(self):
+            raise ValueError("no start method here")
+
+        monkeypatch.setattr(SupervisedPool, "_context", no_start_method)
+        tracer = Tracer("pool")
+        pool = SupervisedPool(_SquareSession, jobs=2, tracer=tracer)
+        outcome = pool.run([1, 2, 3])
+        assert outcome.results == {0: 1, 1: 4, 2: 9}
+        assert outcome.stats["fallback"] == 1
+        assert [(span.name, span.meta) for span in tracer.roots] == [
+            ("inline", {"sim_stats": {"tasks": 3}})]
+
 
 class TestChaos:
     def test_chaos_kills_do_not_lose_tasks(self, monkeypatch):
@@ -109,6 +144,16 @@ class TestDeadlines:
         assert outcome.stats["timeouts"] == 2
         assert outcome.stats["timeout_retries"] == 1
         assert outcome.stats["quarantined"] == 1
+        assert _no_children()
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_timeout_detail_uses_session_label(self, jobs):
+        pool = SupervisedPool(_LabelledSleepSession, jobs=jobs,
+                              task_timeout=0.1, max_retries=0,
+                              backoff_s=0.001)
+        outcome = pool.run([30.0, 0.0])
+        assert outcome.failures[0]["detail"] == (
+            "sleep(30.0) exceeded its 0.1s deadline")
         assert _no_children()
 
     def test_inline_timeout_quarantines_too(self):

@@ -15,6 +15,7 @@ lanes that already finished.
 
 import functools
 import random
+import re
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.fault import (
 )
 from repro.fault.campaign import GATE_KINDS
 from repro.netlist import map_module, optimize
+from repro.obs import Tracer
 from repro.rtl import Read, RtlBuilder, mux
 from repro.types.spec import bit, unsigned
 from tests.fault.test_campaign import latching_module
@@ -135,6 +137,33 @@ class TestBitparallelByteIdentity:
         assert sharded.to_json() == oracle.to_json()
         assert both.to_json() == oracle.to_json()
         assert collapsed.collapse["simulated"] < collapsed.collapse["unique"]
+        # A factory-only sharded run plans lanes in the parent too.
+        assert sharded.exec_stats["lane_batches"] > 0
+
+    def test_one_task_campaign_runs_on_the_callers_injector(self):
+        """``jobs`` clamps to the task count, not the fault count.
+
+        Twenty resolvable faults are one lane batch, hence one task: it
+        runs in-process on the caller's injector, with no worker and no
+        rebuild through the factory.
+        """
+        seed = 3
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return _make_injector(seed)
+
+        faults = _stuck_list(_make_injector(seed), seed)[:20]
+        oracle = run_campaign(_make_injector(seed, "compiled"),
+                              _stimulus(seed), faults, _config(), seed=seed)
+        result = run_campaign(_make_injector(seed), _stimulus(seed), faults,
+                              _config(), seed=seed, jobs=2,
+                              injector_factory=factory)
+        assert calls == []
+        assert result.exec_stats["jobs"] == 1
+        assert result.exec_stats["lane_batches"] == 1
+        assert result.to_json() == oracle.to_json()
 
     def test_journal_resume_byte_identical(self, tmp_path):
         seed = 0
@@ -362,6 +391,36 @@ class TestDrainPeriodicity:
         assert result.outcomes["sdc"] > 0  # finished lanes, LFSRs astray
         assert result.exec_stats["lane_batches"] == 1
         assert injector.sim.stats()["steps"] < self.CFG["drain_budget"] // 4
+
+
+class TestTraceShape:
+    def test_jobs_one_spans_one_per_task(self):
+        """``replay`` holds one span per lane batch and per lone fault."""
+        seed = 0
+        injector = _make_injector(seed)
+        lone = Fault("sa0", "no_such_net", 0, 1)  # does not resolve
+        faults = _mixed_list(injector, seed) + [lone]
+        tracer = Tracer("campaign")
+        result = run_campaign(injector, _stimulus(seed), faults, _config(),
+                              seed=seed, tracer=tracer)
+        [campaign_span] = tracer.roots
+        assert campaign_span.name == "campaign"
+        assert [span.name for span in campaign_span.children] == [
+            "golden", "replay"]
+        assert campaign_span.meta["sim_stats"]["backend"] == "bitparallel"
+        replay = campaign_span.children[1]
+        batches = replay.children[:-1]
+        assert len(batches) == result.exec_stats["lane_batches"] > 1
+        for span in batches:
+            lanes, _ = re.fullmatch(r"lanes\[(\d+)\]@(\d+)",
+                                    span.name).groups()
+            assert span.meta["faults"] == int(lanes)
+            assert sum(span.meta["outcomes"].values()) == int(lanes)
+        assert replay.children[-1].name == "sa0:no_such_net[0]@1"
+        assert replay.children[-1].meta == {"outcome": "detected"}
+        assert replay.meta["faults"] == result.exec_stats["simulated"]
+        assert (sum(span.meta["faults"] for span in batches) + 1
+                == result.exec_stats["simulated"])
 
 
 class TestOneCycleStimulus:

@@ -1,6 +1,7 @@
 """Campaign engine: fault lists, classification, determinism, reports."""
 
 import json
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.fault import (
     run_campaign,
 )
 from repro.netlist import map_module, optimize
+from repro.obs import Tracer
 from repro.rtl import Read, RtlBuilder, RtlSimulator, mux
 from repro.types.spec import bit, unsigned
 
@@ -228,6 +230,29 @@ class TestParallelCampaign:
                 seed=4, jobs=jobs, injector_factory=_latcher_injector,
             )
             assert parallel.to_json() == sequential.to_json()
+
+    def test_traced_jobs_two_replay_holds_worker_rollups(self):
+        faults = generate_fault_list(make_injector(), 6, 12, seed=4)
+        tracer = Tracer("campaign")
+        result = run_campaign(None, stimulus(), faults, config(),
+                              design="latcher", seed=4, jobs=2,
+                              injector_factory=_latcher_injector,
+                              tracer=tracer)
+        assert result.exec_stats["jobs"] == 2
+        [campaign] = tracer.roots
+        # The golden runs happen in the workers: the parent holds only
+        # the pool run, with one rollup span per worker under it.
+        assert [span.name for span in campaign.children] == ["replay"]
+        replay = campaign.children[0]
+        workers = replay.children
+        assert workers
+        assert all(re.fullmatch(r"worker\[\d+\]", span.name)
+                   for span in workers)
+        simulated = result.exec_stats["simulated"]
+        assert sum(span.meta["tasks"] for span in workers) == simulated
+        assert replay.meta["faults"] == simulated
+        assert sum(replay.meta["outcomes"].values()) == simulated
+        assert "shards" not in {span.name for _, span in tracer.walk()}
 
     def test_jobs_without_factory_rejected(self):
         with pytest.raises(ValueError, match="injector_factory"):

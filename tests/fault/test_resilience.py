@@ -155,6 +155,28 @@ class TestDeadlines:
         assert result.exec_stats["quarantined"] == 2
         assert multiprocessing.active_children() == []
 
+    def test_quarantine_detail_names_the_fault_under_every_executor(self):
+        """Regression: worker processes named the task index instead.
+
+        ``jobs=1`` wrote ``"seu:busy[0]@7 exceeded ..."`` while ``jobs=2``
+        wrote ``"task[0] exceeded ..."``, so the two quarantined
+        reports differed.  Both must name the fault.
+        """
+        faults = _faults(2)
+        reports = [
+            run_campaign(_slow_injector(), stimulus(), faults, config(),
+                         design="latcher", seed=4, jobs=jobs,
+                         injector_factory=_slow_injector,
+                         fault_timeout=0.05, max_retries=0)
+            for jobs in (1, 2)
+        ]
+        assert reports[0].to_json() == reports[1].to_json()
+        assert reports[1].exec_stats["jobs"] == 2
+        assert [err["detail"] for err in reports[0].errors] == [
+            f"{f.kind}:{f.target}[{f.bit}]@{f.cycle} exceeded its 0.05s "
+            "deadline" for f in faults
+        ]
+
     def test_clean_run_has_no_errors_section(self):
         result = _oracle(_faults(2))
         assert result.errors == []
