@@ -20,8 +20,8 @@ import time
 from conftest import record_report
 
 from repro.baseline import expocu_rtl
-from repro.cli import _default_design
 from repro.eval import format_table, run_osss_flow, run_vhdl_flow
+from repro.serve.jobs import default_design
 from repro.store import ArtifactStore
 
 MIN_SPEEDUP = 5.0
@@ -30,7 +30,7 @@ REPS = 2
 
 def _build(store):
     results = [
-        run_osss_flow(_default_design(), "osss", store=store),
+        run_osss_flow(default_design(), "osss", store=store),
         run_vhdl_flow(expocu_rtl(), "vhdl", store=store),
     ]
     return json.dumps([r.summary() for r in results], sort_keys=True)

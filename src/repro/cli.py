@@ -25,8 +25,6 @@ without writing a script:
               per point through the design library), emitting a
               ``repro-dse/v1`` report with the exact Pareto front and
               MCDM ranking.
-``profile``   profile a bundled workload (flows, synthesis or a fault
-              campaign) and emit a ``repro-trace/v1`` span report.
 ``build``     run the ExpoCU flows through the design library
               (content-addressed cache): warm rebuilds skip unchanged
               stages.
@@ -39,8 +37,13 @@ without writing a script:
 ``submit``    thin client for ``serve``: submit a job, stream/await
               its result.
 
-``synth``/``flows``/``inject`` also accept ``--profile <out.json>`` to
-write the same span report for their own run.
+``build``/``inject``/``dse`` declare their job options from
+:data:`repro.serve.jobs.JOB_PARAMS`, the schema ``serve`` validates
+submissions against, so a bare one-shot command and a parameterless
+submission mean the same job.  ``synth``/``flows``/``inject``/``dse``/
+``build`` accept ``--profile <out.json>``: :func:`main` traces the run,
+writes the validated ``repro-trace/v1`` span report there and prints
+its span table to stderr, so stdout is the same with or without it.
 
 Uncaught flow errors (:class:`~repro.synth.SynthesisError`,
 :class:`~repro.netlist.NetlistError`, :class:`~repro.store.StoreError`,
@@ -56,12 +59,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-
-
-def _default_design():
-    from repro.serve.jobs import default_design
-
-    return default_design()
 
 
 def _load_design(spec: str):
@@ -118,23 +115,57 @@ def _print_warnings(diagnostics) -> int:
     return len(warnings)
 
 
-def _write_profile(tracer, path: str | None) -> None:
-    """Write *tracer* to *path* (validated) and say where it went."""
-    if not path:
-        return
+def _write_profile(tracer, path: str) -> None:
+    """Write *tracer* to *path* (validated); summarize it on stderr."""
+    from repro.eval import format_table
+
     tracer.write(path)
-    print(f"profile trace written to {path}")
+    print(format_table(tracer.summary_rows()), file=sys.stderr)
+    print(f"\ntotal: {tracer.total_seconds():.4f}s", file=sys.stderr)
+    print(f"profile trace written to {path}", file=sys.stderr)
+
+
+def _open_store(args: argparse.Namespace):
+    """The design library ``--cache-dir``/``--cold``/``--no-cache`` pick."""
+    if args.no_cache:
+        return None
+    from repro.store import ArtifactStore
+
+    store = ArtifactStore(args.cache_dir)
+    if args.cold:
+        store.clear()
+    return store
+
+
+def _report_cache(store) -> None:
+    """Print *store*'s counters to stderr, keeping stdout run-comparable."""
+    if store is None:
+        return
+    counts = store.counter_totals()
+    line = (f"cache: {counts['hit']} hit(s), {counts['miss']} miss(es), "
+            f"{counts['store']} store(s)")
+    if counts["corrupt"]:
+        line += f", {counts['corrupt']} corrupt entr(ies) recomputed"
+    print(line, file=sys.stderr)
+
+
+def _job_spec(kind: str, args: argparse.Namespace):
+    """The validated :class:`~repro.serve.jobs.JobSpec` *args* describe."""
+    from repro.serve.jobs import JOB_PARAMS, make_spec
+
+    return make_spec(kind, {name: getattr(args, name)
+                            for name in JOB_PARAMS[kind]})
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     from repro.analyze import diagnostics_from_lint_report
-    from repro.obs import NULL_TRACER, Tracer
     from repro.rtl.lint import lint_module
+    from repro.serve.jobs import default_design
     from repro.synth import synthesize
     from repro.synth.report import design_report
 
-    tracer = Tracer("synth") if args.profile else NULL_TRACER
-    module = _default_design()
+    tracer = args.tracer
+    module = default_design()
     with tracer.span("synthesize"):
         rtl = synthesize(module, observe_children=False)
     print(design_report(module, rtl))
@@ -165,7 +196,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             handle.write(netlist_stats_comment(circuit))
             handle.write(to_structural_verilog(circuit))
         print(f"structural netlist written to {args.netlist}")
-    _write_profile(tracer, args.profile)
     if warnings and args.strict:
         print(f"strict mode: {warnings} lint warning(s)")
         return 1
@@ -180,17 +210,14 @@ def _cmd_flows(args: argparse.Namespace) -> int:
         run_osss_flow,
         run_vhdl_flow,
     )
+    from repro.serve.jobs import default_design
 
-    from repro.obs import NULL_TRACER, Tracer
-
-    tracer = Tracer("flows") if args.profile else NULL_TRACER
-    osss = run_osss_flow(_default_design(), "osss", tracer=tracer)
-    vhdl = run_vhdl_flow(expocu_rtl(), "vhdl", tracer=tracer)
+    osss = run_osss_flow(default_design(), "osss", tracer=args.tracer)
+    vhdl = run_vhdl_flow(expocu_rtl(), "vhdl", tracer=args.tracer)
     print(flow_comparison(osss, vhdl))
     print()
     print(module_inventory(osss))
     warnings = _print_warnings(osss.diagnostics + vhdl.diagnostics)
-    _write_profile(tracer, args.profile)
     if warnings and args.strict:
         print(f"strict mode: {warnings} lint warning(s)")
         return 1
@@ -200,9 +227,10 @@ def _cmd_flows(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analyze import analyze_design
     from repro.analyze.emit import RENDERERS
+    from repro.serve.jobs import default_design
 
     design = (_load_design(args.design) if args.design
-              else _default_design())
+              else default_design())
     diagnostics = analyze_design(
         design, design_lints=not args.no_design_lints
     )
@@ -223,23 +251,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    import json
-
     from repro.eval import run_netlist_analysis
-    from repro.store import ArtifactStore, serialize_testability
+    from repro.serve.jobs import default_design, render_result
+    from repro.store import serialize_testability
 
     design = (_load_design(args.design) if args.design
-              else _default_design())
-    store = None
-    if not args.no_cache:
-        store = ArtifactStore(args.cache_dir)
-        if args.cold:
-            store.clear()
+              else default_design())
+    store = _open_store(args)
     circuit, analysis = run_netlist_analysis(design, store=store)
-    counter_totals = store.counter_totals() if store is not None else None
     if args.format == "json":
-        doc = serialize_testability(analysis, circuit)
-        rendered = json.dumps(doc, indent=2) + "\n"
+        rendered = render_result(
+            "analyze", serialize_testability(analysis, circuit))
     else:
         summary = analysis.summary()
         lines = [
@@ -261,10 +283,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"{args.format} report written to {args.output}")
     else:
         print(rendered, end="")
-    if counter_totals is not None:
-        print(f"cache: {counter_totals['hit']} hit(s), "
-              f"{counter_totals['miss']} miss(es), "
-              f"{counter_totals['store']} store(s)", file=sys.stderr)
+    _report_cache(store)
     if args.strict and analysis.diagnostics:
         return 1
     return 0
@@ -274,7 +293,6 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     import os
 
     from repro.fault import expocu_campaign
-    from repro.obs import NULL_TRACER, Tracer
 
     tag = f"fault_{args.flow}_{args.hardening}_seed{args.seed}"
     if args.backend != "event":
@@ -287,16 +305,10 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         from repro.store import ArtifactStore
 
         journal = str(ArtifactStore(args.cache_dir).journal_path(tag))
-    tracer = Tracer("inject") if args.profile else NULL_TRACER
     result = expocu_campaign(
-        flow=args.flow,
-        faults=args.faults,
-        seed=args.seed,
-        hardening=args.hardening,
+        **_job_spec("inject", args).params,
         jobs=args.jobs,
-        backend=args.backend,
-        collapse=args.collapse,
-        tracer=tracer,
+        tracer=args.tracer,
         fault_timeout=args.fault_timeout,
         max_retries=args.max_retries,
         journal=journal,
@@ -340,7 +352,6 @@ def _cmd_inject(args: argparse.Namespace) -> int:
                   "the record stream")
         if output:
             print(f"campaign report written to {output}")
-    _write_profile(tracer, args.profile)
     if result.golden_selfcheck != "masked":
         print("error: golden replay diverged from the golden run")
         return 1
@@ -351,28 +362,12 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 def _cmd_dse(args: argparse.Namespace) -> int:
     from repro.dse import DseResult
-    from repro.obs import NULL_TRACER, Tracer
-    from repro.serve.jobs import make_spec, run_job
-    from repro.store import ArtifactStore
+    from repro.serve.jobs import run_job
 
-    store = None
-    if not args.no_cache:
-        store = ArtifactStore(args.cache_dir)
-        if args.cold:
-            store.clear()
-    tracer = Tracer("dse") if args.profile else NULL_TRACER
+    store = _open_store(args)
     # Same execution path as 'repro serve' dse jobs (byte-diffable).
-    payload = run_job(
-        make_spec("dse", {
-            "space": args.space, "side": args.side,
-            "strategy": args.strategy, "fraction": args.fraction,
-            "population": args.population,
-            "generations": args.generations, "seed": args.seed,
-            "faults": args.faults, "campaign_seed": args.campaign_seed,
-            "backend": args.backend,
-        }),
-        store=store, tracer=tracer)
-    result = DseResult(payload)
+    result = DseResult(run_job(_job_spec("dse", args), store=store,
+                               tracer=args.tracer))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(result.to_json())
@@ -382,11 +377,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         print(result.summary(), end="")
         if args.output:
             print(f"dse report written to {args.output}")
-    if store is not None:
-        counts = store.counter_totals()
-        print(f"cache: {counts['hit']} hit(s), {counts['miss']} miss(es), "
-              f"{counts['store']} store(s)", file=sys.stderr)
-    _write_profile(tracer, args.profile)
+    _report_cache(store)
     if result.doc["failures"] and not result.doc["points"]:
         print("error: every design point failed", file=sys.stderr)
         return 1
@@ -401,37 +392,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.eval import format_table
-    from repro.obs import Tracer, validate_trace
-
-    tracer = Tracer(args.target)
-    if args.target == "flows":
-        from repro.baseline import expocu_rtl
-        from repro.eval import run_osss_flow, run_vhdl_flow
-
-        run_osss_flow(_default_design(), "osss", tracer=tracer)
-        run_vhdl_flow(expocu_rtl(), "vhdl", tracer=tracer)
-    elif args.target == "synth":
-        from repro.synth import synthesize
-
-        with tracer.span("synthesize"):
-            synthesize(_default_design(), observe_children=False)
-    else:  # campaign
-        from repro.fault import expocu_campaign
-
-        expocu_campaign(flow=args.flow, faults=args.faults, seed=args.seed,
-                        jobs=args.jobs, backend=args.backend, tracer=tracer)
-    validate_trace(tracer.as_dict())
-    if args.format == "json":
-        print(tracer.to_json(), end="")
-    else:
-        print(format_table(tracer.summary_rows()))
-        print(f"\ntotal: {tracer.total_seconds():.4f}s")
-    _write_profile(tracer, args.output)
-    return 0
-
-
 def _cmd_effort(args: argparse.Namespace) -> int:
     from repro.eval import format_table, i2c_effort_comparison
 
@@ -442,38 +402,22 @@ def _cmd_effort(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    import json
+    from repro.serve.jobs import render_result, run_job
 
-    from repro.obs import NULL_TRACER, Tracer
-    from repro.serve.jobs import make_spec, run_job
-    from repro.store import ArtifactStore
-
-    store = None
-    if not args.no_cache:
-        store = ArtifactStore(args.cache_dir)
-        if args.cold:
-            store.clear()
-    tracer = Tracer("build") if args.profile else NULL_TRACER
+    store = _open_store(args)
     # The same execution path 'repro serve' uses for build jobs — the
     # serve tests diff server results against this command's output.
-    payload = run_job(make_spec("build", {"flow": args.flow}),
-                      store=store, tracer=tracer)
+    payload = run_job(_job_spec("build", args), store=store,
+                      tracer=args.tracer)
     if args.json:
         # Summaries only: this output is byte-comparable across cold,
         # warm and cache-disabled runs (counters go to stderr).
-        print(json.dumps(payload, indent=2))
+        print(render_result("build", payload), end="")
     else:
         from repro.eval import format_table
 
         print(format_table(payload["flows"]))
-    if store is not None:
-        counts = store.counter_totals()
-        line = (f"cache: {counts['hit']} hit(s), {counts['miss']} miss(es), "
-                f"{counts['store']} store(s)")
-        if counts["corrupt"]:
-            line += f", {counts['corrupt']} corrupt entr(ies) recomputed"
-        print(line, file=sys.stderr)
-    _write_profile(tracer, args.profile)
+    _report_cache(store)
     return 0
 
 
@@ -548,37 +492,64 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
+def _add_job_options(parser: argparse.ArgumentParser, kind: str) -> None:
+    """Declare *kind*'s :data:`~repro.serve.jobs.JOB_PARAMS` as options."""
+    from repro.serve.jobs import JOB_PARAMS
+
+    for name, (default, constraint, help_text) in JOB_PARAMS[kind].items():
+        if isinstance(constraint, tuple):
+            typed = {"choices": constraint}
+        elif constraint is bool:
+            typed = {"action": "store_true"}
+        else:
+            typed = {"type": constraint}
+        parser.add_argument("--" + name.replace("_", "-"), default=default,
+                            help=help_text, **typed)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
+    from repro import __version__
+    from repro.serve.jobs import JOB_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="PyOSSS — OSSS methodology reproduction (DATE 2004)",
     )
-    from repro import __version__
-
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Options several verbs share, declared once as parent parsers.
+    profiled = argparse.ArgumentParser(add_help=False)
+    profiled.add_argument("--profile", metavar="OUT.json",
+                          help="write a repro-trace/v1 span report here "
+                          "(span table on stderr)")
+    cached = argparse.ArgumentParser(add_help=False)
+    cached.add_argument("--cache-dir", default=".repro-cache",
+                        help="design-library root (default: .repro-cache)")
+    cached.add_argument("--cold", action="store_true",
+                        help="clear the cache first (forced full rebuild)")
+    cached.add_argument("--no-cache", action="store_true",
+                        help="bypass the design library entirely")
 
     demo = sub.add_parser("demo", help="closed-loop auto-exposure demo")
     demo.add_argument("--frames", type=int, default=10)
     demo.add_argument("--scene-mean", type=int, default=100)
     demo.set_defaults(func=_cmd_demo)
 
-    synth = sub.add_parser("synth", help="synthesize the ExpoCU")
+    synth = sub.add_parser("synth", parents=[profiled],
+                           help="synthesize the ExpoCU")
     synth.add_argument("--verilog", help="write behavioral Verilog here")
     synth.add_argument("--netlist", help="write structural netlist here")
     synth.add_argument("--strict", action="store_true",
                        help="exit non-zero on lint warnings")
-    synth.add_argument("--profile", metavar="OUT.json",
-                       help="write a repro-trace/v1 span report here")
     synth.set_defaults(func=_cmd_synth)
 
-    flows = sub.add_parser("flows", help="both flows, §12 comparison")
+    flows = sub.add_parser("flows", parents=[profiled],
+                           help="both flows, §12 comparison")
     flows.add_argument("--strict", action="store_true",
                        help="exit non-zero on lint warnings")
-    flows.add_argument("--profile", metavar="OUT.json",
-                       help="write a repro-trace/v1 span report here")
     flows.set_defaults(func=_cmd_flows)
 
     lint = sub.add_parser(
@@ -598,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.set_defaults(func=_cmd_lint)
 
     analyze = sub.add_parser(
-        "analyze",
+        "analyze", parents=[cached],
         help="netlist structural analysis (testability, collapsing, lints)",
     )
     analyze.add_argument(
@@ -612,41 +583,16 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--output", help="write the report here")
     analyze.add_argument("--strict", action="store_true",
                          help="exit non-zero when any OSS5xx lint fires")
-    analyze.add_argument("--cache-dir", default=".repro-cache",
-                         help="design-library directory (shared with "
-                         "'repro build')")
-    analyze.add_argument("--cold", action="store_true",
-                         help="clear the cache first")
-    analyze.add_argument("--no-cache", action="store_true",
-                         help="run without the design library")
     analyze.set_defaults(func=_cmd_analyze)
 
     inject = sub.add_parser(
-        "inject", help="fault-injection campaign on the ExpoCU"
+        "inject", parents=[profiled],
+        help="fault-injection campaign on the ExpoCU",
     )
-    inject.add_argument("--flow", choices=("rtl", "netlist"), default="rtl",
-                        help="inject into RTL registers or netlist nets")
-    inject.add_argument("--faults", type=int, default=50,
-                        help="number of seeded faults to inject")
-    inject.add_argument("--seed", type=int, default=1,
-                        help="campaign seed (stimulus and fault list)")
-    inject.add_argument("--hardening",
-                        choices=("none", "tmr", "parity", "tmr+parity"),
-                        default="none",
-                        help="netlist hardening applied before injection")
+    _add_job_options(inject, "inject")
     inject.add_argument("--jobs", type=int, default=1,
                         help="worker processes sharding the fault list "
                         "(the report stays byte-identical to --jobs 1)")
-    inject.add_argument("--backend",
-                        choices=("event", "compiled", "bitparallel"),
-                        default="event",
-                        help="gate evaluator: interpreted event-driven, "
-                        "code-generated straight-line, or lane-packed "
-                        "bit-parallel (netlist flow)")
-    inject.add_argument("--collapse", action="store_true",
-                        help="statically collapse the fault list "
-                        "(equivalence + quiescence pruning; netlist flow, "
-                        "report stays byte-identical)")
     inject.add_argument("--fault-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock deadline per fault replay; a "
@@ -670,78 +616,17 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", help="stdout format")
     inject.add_argument("--output", help="write the JSON report here "
                         "(default: benchmarks/results/ when present)")
-    inject.add_argument("--profile", metavar="OUT.json",
-                        help="write a repro-trace/v1 span report here")
     inject.set_defaults(func=_cmd_inject)
 
     dse = sub.add_parser(
-        "dse",
+        "dse", parents=[cached, profiled],
         help="multi-objective design-space exploration on the ExpoCU",
     )
-    dse.add_argument("--space", choices=("tiny", "full"), default="tiny",
-                     help="bundled ExpoCU space: tiny (4 points) or "
-                     "full (24 points)")
-    dse.add_argument("--side", type=int, default=4,
-                     help="frame side length of the explored ExpoCU "
-                     "specializations (default: 4)")
-    dse.add_argument("--strategy",
-                     choices=("factorial", "evolutionary"),
-                     default="factorial", help="search strategy")
-    dse.add_argument("--fraction", type=int, default=1,
-                     help="factorial: keep 1/N of the full design "
-                     "(index-sum fractional design)")
-    dse.add_argument("--population", type=int, default=8,
-                     help="evolutionary: population size")
-    dse.add_argument("--generations", type=int, default=6,
-                     help="evolutionary: number of generations")
-    dse.add_argument("--seed", type=int, default=1,
-                     help="evolutionary: search seed")
-    dse.add_argument("--faults", type=int, default=24,
-                     help="seeded faults injected per design point")
-    dse.add_argument("--campaign-seed", type=int, default=2004,
-                     help="campaign seed (stimulus and fault list)")
-    dse.add_argument("--backend",
-                     choices=("event", "compiled", "bitparallel"),
-                     default="bitparallel",
-                     help="gate evaluator backend (reports are "
-                     "byte-identical across backends)")
-    dse.add_argument("--cache-dir", default=".repro-cache",
-                     help="design-library directory (shared with "
-                     "'repro build')")
-    dse.add_argument("--cold", action="store_true",
-                     help="clear the cache first")
-    dse.add_argument("--no-cache", action="store_true",
-                     help="run without the design library")
+    _add_job_options(dse, "dse")
     dse.add_argument("--format", choices=("text", "json"),
                      default="text", help="stdout format")
     dse.add_argument("--output", help="write the repro-dse/v1 report here")
-    dse.add_argument("--profile", metavar="OUT.json",
-                     help="write a repro-trace/v1 span report here")
     dse.set_defaults(func=_cmd_dse)
-
-    profile = sub.add_parser(
-        "profile", help="profile a bundled workload (repro-trace/v1)"
-    )
-    profile.add_argument("--target", choices=("flows", "synth", "campaign"),
-                         default="flows",
-                         help="workload to run under the profiler")
-    profile.add_argument("--flow", choices=("rtl", "netlist"), default="rtl",
-                         help="campaign target: flow to inject into")
-    profile.add_argument("--faults", type=int, default=10,
-                         help="campaign target: number of seeded faults")
-    profile.add_argument("--seed", type=int, default=1,
-                         help="campaign target: campaign seed")
-    profile.add_argument("--jobs", type=int, default=1,
-                         help="campaign target: worker processes")
-    profile.add_argument("--backend",
-                         choices=("event", "compiled", "bitparallel"),
-                         default="event",
-                         help="campaign target: gate evaluator backend")
-    profile.add_argument("--format", choices=("text", "json"),
-                         default="text", help="stdout format")
-    profile.add_argument("--output", metavar="OUT.json",
-                         help="write the validated trace document here")
-    profile.set_defaults(func=_cmd_profile)
 
     resolve = sub.add_parser("resolve",
                              help="Fig. 7 intermediate of SyncRegister")
@@ -753,21 +638,13 @@ def build_parser() -> argparse.ArgumentParser:
     effort.set_defaults(func=_cmd_effort)
 
     build = sub.add_parser(
-        "build", help="run the ExpoCU flows through the design library"
+        "build", parents=[cached, profiled],
+        help="run the ExpoCU flows through the design library",
     )
-    build.add_argument("--flow", choices=("osss", "vhdl", "both"),
-                       default="both", help="which flow(s) to build")
-    build.add_argument("--cache-dir", default=".repro-cache",
-                       help="design-library root (default: .repro-cache)")
-    build.add_argument("--cold", action="store_true",
-                       help="clear the cache first (forced full rebuild)")
-    build.add_argument("--no-cache", action="store_true",
-                       help="bypass the design library entirely")
+    _add_job_options(build, "build")
     build.add_argument("--json", action="store_true",
                        help="print flow summaries as JSON (cache counters "
                        "go to stderr, so output is run-comparable)")
-    build.add_argument("--profile", metavar="OUT.json",
-                       help="write a repro-trace/v1 span report here")
     build.set_defaults(func=_cmd_build)
 
     serve = sub.add_parser(
@@ -802,9 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="submit a job to a running 'repro serve'"
     )
-    submit.add_argument("kind",
-                        choices=("build", "analyze", "inject", "dse"),
-                        help="job kind")
+    submit.add_argument("kind", choices=JOB_KINDS, help="job kind")
     submit.add_argument("--socket", metavar="PATH",
                         help="server's Unix domain socket")
     submit.add_argument("--port", type=int, default=0,
@@ -853,18 +728,24 @@ def main(argv: list[str] | None = None) -> int:
     from repro.dse import DseError
     from repro.fault import CampaignError
     from repro.netlist import NetlistError
+    from repro.obs import NULL_TRACER, Tracer
     from repro.serve.jobs import JobError
     from repro.store import StoreError
     from repro.synth import SynthesisError
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    profile = getattr(args, "profile", None)
+    args.tracer = Tracer(args.command) if profile else NULL_TRACER
     try:
-        return args.func(args)
+        code = args.func(args)
     except (SynthesisError, NetlistError, StoreError, CampaignError,
             DseError, JobError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    if profile:
+        _write_profile(args.tracer, profile)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

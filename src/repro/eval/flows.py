@@ -32,7 +32,6 @@ from repro.analyze import (
     analyze_design,
     diagnostics_from_lint_report,
 )
-from repro.exec.deadline import time_limit
 from repro.hdl.module import Module
 from repro.netlist.area import AreaReport, total_area
 from repro.netlist.circuit import Circuit
@@ -166,7 +165,6 @@ def run_osss_flow(module: Module, name: str = "osss",
                   analyze_first: bool = True,
                   tracer: Tracer | None = None,
                   store: ArtifactStore | None = None,
-                  deadline_s: float | None = None,
                   guard=None) -> FlowResult:
     """OSSS source → analyzer/synthesizer → behavioral FSMs → gates.
 
@@ -182,12 +180,6 @@ def run_osss_flow(module: Module, name: str = "osss",
     live module hierarchy is fingerprinted, and any stage whose inputs
     (and implementing code) are unchanged replays its cached artifact.
 
-    *deadline_s* bounds the whole flow in wall-clock seconds
-    (:func:`repro.exec.time_limit`): a design that sends a stage into
-    pathological runtime raises
-    :class:`~repro.exec.DeadlineExceeded` instead of stalling batch
-    evaluations and flow-service callers.
-
     *guard* is a per-stage cancellation hook (see
     :class:`~repro.store.StageRunner`): called with each stage name
     before the stage runs, it may raise to abort the flow at the next
@@ -195,8 +187,7 @@ def run_osss_flow(module: Module, name: str = "osss",
     """
     runner = StageRunner(store, tracer or NULL_TRACER, guard=guard)
     tracer = runner.tracer
-    with time_limit(deadline_s, label=f"flow:{name}"), \
-            tracer.span(f"flow:{name}") as flow_span:
+    with tracer.span(f"flow:{name}") as flow_span:
         design_fp = fingerprint_design(module) if store is not None else ""
         diagnostics: list[Diagnostic] = []
         if analyze_first:
@@ -270,7 +261,6 @@ def netlist_prefix(module: Module, runner: StageRunner,
 def run_netlist_analysis(module: Module, name: str = "osss",
                          tracer: Tracer | None = None,
                          store: ArtifactStore | None = None,
-                         deadline_s: float | None = None,
                          guard=None) -> tuple[Circuit, NetlistAnalysis]:
     """OSSS source → optimized gates → structural testability analysis.
 
@@ -284,8 +274,7 @@ def run_netlist_analysis(module: Module, name: str = "osss",
     """
     runner = StageRunner(store, tracer or NULL_TRACER, guard=guard)
     tracer = runner.tracer
-    with time_limit(deadline_s, label=f"analyze:{name}"), \
-            tracer.span(f"analyze:{name}") as span:
+    with tracer.span(f"analyze:{name}") as span:
         _, _, opt_outcome = netlist_prefix(module, runner)
         circuit = opt_outcome.value()
         analysis = runner.run(
@@ -313,13 +302,11 @@ def run_rtl(rtl: RtlModule, name: str = "rtl",
             ip_library: dict[str, Circuit] | None = None,
             tracer: Tracer | None = None,
             store: ArtifactStore | None = None,
-            deadline_s: float | None = None,
             guard=None) -> FlowResult:
     """RTL (hand-written or pre-synthesized) → gates, linking IP."""
     runner = StageRunner(store, tracer or NULL_TRACER, guard=guard)
     tracer = runner.tracer
-    with time_limit(deadline_s, label=f"flow:{name}"), \
-            tracer.span(f"flow:{name}") as flow_span:
+    with tracer.span(f"flow:{name}") as flow_span:
         rtl_fp = fingerprint_rtl(rtl) if store is not None else ""
         diagnostics = runner.run(
             "lint", (rtl_fp, name),
@@ -380,8 +367,6 @@ def _linked(techmap_outcome, ip_library: dict[str, Circuit]) -> Circuit:
 def run_vhdl_flow(rtl: RtlModule, name: str = "vhdl",
                   tracer: Tracer | None = None,
                   store: ArtifactStore | None = None,
-                  deadline_s: float | None = None,
                   guard=None) -> FlowResult:
     """Alias of :func:`run_rtl` with the default IP library."""
-    return run_rtl(rtl, name, tracer=tracer, store=store,
-                   deadline_s=deadline_s, guard=guard)
+    return run_rtl(rtl, name, tracer=tracer, store=store, guard=guard)

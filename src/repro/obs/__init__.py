@@ -9,8 +9,8 @@ into one cross-cutting layer over the whole reproduction:
   context-manager API, monotonic-clock timing, nested spans) with a
   stable ``repro-trace/v1`` JSON export and a schema validator.  Wired
   into both synthesis flows (per-stage spans), the fault-campaign engine
-  (per-fault spans, throughput, per-shard rollups) and the CLI
-  (``repro profile`` / ``--profile``).
+  (per-fault spans, throughput, per-worker rollups) and the CLI
+  (``--profile`` on ``synth``/``flows``/``inject``/``dse``/``build``).
 * :mod:`repro.obs.vcd` — the VCD document writer (extracted from
   :mod:`repro.hdl.trace`) plus ``RtlTrace``/``GateTrace`` adapters that
   sample the cycle-based simulators through their ``step_hooks``, and

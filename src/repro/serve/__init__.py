@@ -3,9 +3,11 @@
 The package splits along the protocol boundary:
 
 :mod:`repro.serve.jobs`
-    The job model — validated :class:`JobSpec`\\ s, the
-    :func:`run_job` execution path shared with the one-shot CLI, and
-    the byte-exact :func:`render_result` convention.
+    The job model — validated :class:`JobSpec`\\ s, the parameter
+    schema the one-shot CLI declares its job options from, the
+    :func:`run_job` execution path ``repro build``/``dse`` share (the
+    ``analyze``/``inject`` commands call the same flow functions
+    directly), and the byte-exact :func:`render_result` convention.
 :mod:`repro.serve.scheduler`
     Queue, fingerprint-based request coalescing, and the two
     executors (supervised worker processes / in-process threads).

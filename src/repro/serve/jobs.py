@@ -1,12 +1,16 @@
-"""The serve job model: validated specs, one shared execution path.
+"""The serve job model: validated specs, one parameter schema.
 
 A **job** is one unit of work a client can submit to ``repro serve``:
 a flow build, a netlist analysis, a fault-injection campaign or a
 design-space exploration.  :func:`make_spec` validates raw parameters
-against the kind's schema and merges defaults; :func:`run_job` executes
-the spec through exactly the same functions the one-shot CLI commands
-call (:func:`repro.eval.run_osss_flow`, :func:`repro.fault
-.expocu_campaign`, :func:`repro.dse.explore`, ...), so a job's rendered
+against the kind's schema (:data:`JOB_PARAMS`, from which the one-shot
+``repro build``/``inject``/``dse`` commands also declare their options)
+and merges defaults; :func:`run_job` executes the spec.  ``repro
+build`` and ``repro dse`` run through :func:`run_job` itself; ``repro
+analyze`` and ``repro inject`` call the same functions
+(:func:`repro.eval.run_netlist_analysis`, :func:`repro.fault
+.expocu_campaign`) directly, because they also take options a job does
+not (``--design``, ``--jobs``, deadlines, journals).  A job's rendered
 result is byte-identical to the corresponding ``repro build --json`` /
 ``repro inject --format json`` / ``repro dse --format json`` /
 ``repro analyze --format json`` output — asserted by the serve tests
@@ -42,33 +46,50 @@ class JobCancelled(RuntimeError):
     """
 
 
-#: Parameter schema per job kind: ``name -> (default, choices | type)``.
-#: Defaults mirror the one-shot CLI commands exactly — a parameterless
-#: job submission must produce the same bytes as the bare CLI command.
-JOB_PARAMS: dict[str, dict[str, tuple[Any, Any]]] = {
+#: Parameter schema per job kind: ``name -> (default, choices | type,
+#: help)``.  The one-shot CLI commands declare their job options from
+#: this table (:func:`repro.cli.build_parser`), so a parameterless job
+#: submission produces the same bytes as the bare CLI command.
+JOB_PARAMS: dict[str, dict[str, tuple[Any, Any, str]]] = {
     "build": {
-        "flow": ("both", ("osss", "vhdl", "both")),
+        "flow": ("both", ("osss", "vhdl", "both"), "which flow(s) to build"),
     },
     "analyze": {},
     "inject": {
-        "flow": ("rtl", ("rtl", "netlist")),
-        "faults": (50, int),
-        "seed": (1, int),
-        "hardening": ("none", ("none", "tmr", "parity", "tmr+parity")),
-        "backend": ("event", ("event", "compiled", "bitparallel")),
-        "collapse": (False, bool),
+        "flow": ("rtl", ("rtl", "netlist"),
+                 "inject into RTL registers or netlist nets"),
+        "faults": (50, int, "number of seeded faults to inject"),
+        "seed": (1, int, "campaign seed (stimulus and fault list)"),
+        "hardening": ("none", ("none", "tmr", "parity", "tmr+parity"),
+                      "netlist hardening applied before injection"),
+        "backend": ("event", ("event", "compiled", "bitparallel"),
+                    "gate evaluator: interpreted event-driven, "
+                    "code-generated straight-line, or lane-packed "
+                    "bit-parallel (netlist flow)"),
+        "collapse": (False, bool,
+                     "statically collapse the fault list (equivalence + "
+                     "quiescence pruning; netlist flow, report stays "
+                     "byte-identical)"),
     },
     "dse": {
-        "space": ("tiny", ("tiny", "full")),
-        "side": (4, int),
-        "strategy": ("factorial", ("factorial", "evolutionary")),
-        "fraction": (1, int),
-        "population": (8, int),
-        "generations": (6, int),
-        "seed": (1, int),
-        "faults": (24, int),
-        "campaign_seed": (2004, int),
-        "backend": ("bitparallel", ("event", "compiled", "bitparallel")),
+        "space": ("tiny", ("tiny", "full"),
+                  "bundled ExpoCU space: tiny (4 points) or full "
+                  "(24 points)"),
+        "side": (4, int, "frame side length of the explored ExpoCU "
+                 "specializations (default: 4)"),
+        "strategy": ("factorial", ("factorial", "evolutionary"),
+                     "search strategy"),
+        "fraction": (1, int, "factorial: keep 1/N of the full design "
+                     "(index-sum fractional design)"),
+        "population": (8, int, "evolutionary: population size"),
+        "generations": (6, int, "evolutionary: number of generations"),
+        "seed": (1, int, "evolutionary: search seed"),
+        "faults": (24, int, "seeded faults injected per design point"),
+        "campaign_seed": (2004, int,
+                          "campaign seed (stimulus and fault list)"),
+        "backend": ("bitparallel", ("event", "compiled", "bitparallel"),
+                    "gate evaluator backend (reports are byte-identical "
+                    "across backends)"),
     },
 }
 
@@ -114,7 +135,7 @@ def make_spec(kind: str, params: Mapping[str, Any] | None = None) -> JobSpec:
         raise JobError(f"unknown parameter(s) for {kind!r}: "
                        f"{', '.join(unknown)}")
     complete: dict[str, Any] = {}
-    for name, (default, constraint) in schema.items():
+    for name, (default, constraint, _help) in schema.items():
         value = params.get(name, default)
         if isinstance(constraint, tuple):
             if value not in constraint:
@@ -198,17 +219,8 @@ def run_job(spec: JobSpec,
             tag = "serve_" + spec.fingerprint()[:16]
             journal = str(store.journal_path(tag))
             resume = True
-        result = expocu_campaign(
-            flow=params["flow"],
-            faults=params["faults"],
-            seed=params["seed"],
-            hardening=params["hardening"],
-            backend=params["backend"],
-            collapse=params["collapse"],
-            tracer=tracer,
-            journal=journal,
-            resume=resume,
-        )
+        result = expocu_campaign(**params, tracer=tracer, journal=journal,
+                                 resume=resume)
         return result.as_dict()
 
     if spec.kind == "dse":

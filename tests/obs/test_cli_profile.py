@@ -1,7 +1,9 @@
-"""CLI profiling: ``repro profile`` and the ``--profile`` options.
+"""CLI profiling: the ``--profile`` option.
 
 Includes the acceptance check that a ``repro flows --profile`` trace
-explains at least 95% of each flow's wall time through stage spans.
+explains at least 95% of each flow's wall time through stage spans, and
+that the option leaves stdout untouched: the span summary goes to
+stderr, so JSON output stays parseable and byte-identical.
 """
 
 import json
@@ -48,22 +50,16 @@ class TestFlowsProfile:
 
 
 class TestProfileCommand:
-    def test_synth_target_text_output(self, tmp_path, capsys):
+    def test_synth_profile_summary_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "synth.json"
-        assert main(["profile", "--target", "synth",
-                     "--output", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "synthesize" in out
-        assert "total:" in out
+        assert main(["synth", "--profile", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "total:" in captured.err and "total:" not in captured.out
+        assert "synthesize" in captured.err
+        assert f"profile trace written to {path}" in captured.err
         doc = load(path)
         assert doc["name"] == "synth"
         assert doc["spans"][0]["name"] == "synthesize"
-
-    def test_synth_target_json_stdout(self, capsys):
-        assert main(["profile", "--target", "synth",
-                     "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert validate_trace(doc) is doc
 
     def test_synth_profile_flag(self, tmp_path, capsys):
         path = tmp_path / "synth.json"
@@ -94,3 +90,21 @@ class TestInjectProfile:
                    ("masked", "sdc", "detected", "hang")
                    for c in replay["children"])
         assert campaign["meta"]["sim_stats"]["backend"] == "rtl"
+
+
+class TestProfileKeepsStdout:
+    @pytest.mark.parametrize("argv", [
+        ["build", "--no-cache", "--flow", "vhdl", "--json"],
+        ["inject", "--faults", "0", "--format", "json"],
+    ], ids=["build", "inject"])
+    def test_stdout_is_byte_identical_json(self, argv, tmp_path,
+                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--profile", "t.json"]) == 0
+        profiled = capsys.readouterr()
+        assert profiled.out == plain
+        json.loads(profiled.out)
+        assert "profile trace written to t.json" in profiled.err
+        assert load(tmp_path / "t.json")["name"] == argv[0]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import build_parser
 from repro.dse.evaluate import POINT_ERRORS
 from repro.serve.jobs import (
     JOB_KINDS,
@@ -29,6 +30,12 @@ class TestMakeSpec:
         assert dse["strategy"] == "factorial" and dse["fraction"] == 1
         assert dse["faults"] == 24 and dse["campaign_seed"] == 2004
         assert dse["backend"] == "bitparallel"
+
+    @pytest.mark.parametrize("kind", ["build", "inject", "dse"])
+    def test_cli_parser_defaults_are_the_default_spec(self, kind):
+        args = build_parser().parse_args([kind])
+        parsed = {name: getattr(args, name) for name in JOB_PARAMS[kind]}
+        assert parsed == make_spec(kind).params
 
     def test_every_kind_has_a_schema(self):
         assert set(JOB_KINDS) == {"build", "analyze", "inject", "dse"}

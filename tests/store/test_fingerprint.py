@@ -6,8 +6,8 @@ subprocess test in ``tests/synth/test_determinism.py``.)
 
 import pytest
 
-from repro.cli import _default_design
 from repro.hdl import Clock, Input, Module, NS, Output, Signal
+from repro.serve.jobs import default_design
 from repro.store import (
     StoreError,
     fingerprint_design,
@@ -46,8 +46,8 @@ class TestDesignFingerprint:
             fingerprint_design(make_probe())
 
     def test_expocu_stable_across_instances(self):
-        assert fingerprint_design(_default_design()) == \
-            fingerprint_design(_default_design())
+        assert fingerprint_design(default_design()) == \
+            fingerprint_design(default_design())
 
     def test_changes_with_instance_name(self):
         assert fingerprint_design(make_probe("a")) != \

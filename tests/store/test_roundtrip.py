@@ -83,10 +83,10 @@ class TestCircuitRoundTrip:
 @pytest.fixture(scope="module")
 def expocu_rtl_pair():
     """The synthesized ExpoCU RTL and its round-tripped twin."""
-    from repro.cli import _default_design
+    from repro.serve.jobs import default_design
     from repro.synth import synthesize
 
-    rtl = synthesize(_default_design(), observe_children=False)
+    rtl = synthesize(default_design(), observe_children=False)
     doc = serialize_rtl(rtl)
     return rtl, deserialize_rtl(doc), doc
 
