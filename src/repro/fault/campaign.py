@@ -17,7 +17,11 @@ classified into exactly one outcome:
 Precedence when several apply: ``hang`` > ``detected`` > ``sdc``.  The
 taxonomy and the checkpoint-replay structure follow simulation-based
 fault injection practice (DAVOS); determinism is end-to-end — the same
-seed yields byte-identical reports.
+seed yields byte-identical reports.  A replay stops as soon as its
+record is decided: when the faulty machine has become the golden one,
+or when its drain provably cycles without quiescing.  RTL replays also
+simulate only what differs from the recorded golden run
+(:class:`~repro.fault.inject.RtlFaultInjector`).
 
 Execution: the fault list is deduplicated before replay (identical
 faults are simulated once and their record shared) and planned once
@@ -200,6 +204,10 @@ class CampaignResult:
         plus, per classified fault, the re-simulated tail from the
         injection cycle and the drain phase (a hang consumes the full
         *drain_budget*; anything else drains like the golden run).
+        It stays this full-replay cost formula, so DSE objectives do not
+        depend on how replays run: it is *not* the number of cycles
+        simulated, which a replay that converges with the golden run or
+        provably hangs stops short of (see :func:`_classify`).
         """
         rates = self.outcome_rates()
         drain = self.golden_drain_cycles
@@ -356,6 +364,27 @@ def _observed_names(outputs: Mapping[str, int],
     return sorted(outputs)
 
 
+class _CycleCheck:
+    """Brent's cycle detection over the states of a drain.
+
+    One stored state, refreshed at power-of-two cycle counts, detects any
+    period within the drain budget.
+    """
+
+    def __init__(self) -> None:
+        self._seen: Any = None
+        self._next = 1
+
+    def repeats(self, cycles: int, state: Any) -> bool:
+        """Whether *state*, reached after *cycles* steps, was seen before."""
+        if state == self._seen:
+            return True
+        if cycles >= self._next:
+            self._seen = state
+            self._next *= 2
+        return False
+
+
 def _drain(injector, config: CampaignConfig,
            detect_reference: list[dict[str, int]] | None = None,
            ) -> tuple[bool, int, list[dict[str, int]], bool]:
@@ -367,6 +396,17 @@ def _drain(injector, config: CampaignConfig,
     detect signal rose where the reference had 0 — the drain-phase half
     of the ``detected`` classification.  A fault drain outlasting the
     reference is compared against the reference's final cycle.
+
+    A fault replay's drain (*detect_reference* given) ends early in two
+    provable cases, each with the ``done``/``detected`` a drain to the
+    budget would return.  Once a step makes the faulty machine the
+    golden one (``injector.converged()``), it repeats the golden drain,
+    which quiesces with no detect signal rising over its own trace:
+    ``done``.  Once the reference is clamped to its final entry, input
+    and reference are constant, so a repeat of the state
+    (``injector.state_key()``) with an unchanged detection flag means
+    the drain cycles forever without quiescing: a hang (as in
+    :func:`_classify_batch`).
     """
     if config.done_signal is None:
         return True, 0, [], False
@@ -375,6 +415,7 @@ def _drain(injector, config: CampaignConfig,
     detected = False
     done = False
     cycles = 0
+    cycle_check = _CycleCheck()
     while cycles < config.drain_budget + 1:
         outputs = injector.step(idle)
         if config.detect_signals:
@@ -391,6 +432,14 @@ def _drain(injector, config: CampaignConfig,
         cycles += 1
         if outputs.get(config.done_signal) == config.done_value:
             done = True
+            break
+        if detect_reference is None:
+            continue
+        if injector.converged():
+            done = True
+            break
+        if cycles >= len(detect_reference) - 1 and cycle_check.repeats(
+                cycles, (injector.state_key(), detected)):
             break
     return done, cycles, trace, detected
 
@@ -410,10 +459,19 @@ class _GoldenRun:
 
 def _golden_run(injector, stimulus: Sequence[Mapping[str, int]],
                 config: CampaignConfig, snap_cycles: set[int]) -> _GoldenRun:
-    """Reset, golden run with checkpoints, drain, and the self-check."""
+    """Reset, golden run with checkpoints, drain, and the self-check.
+
+    The injector records the golden stimulus and drain as it steps them
+    (``record_golden``).  The self-check then restores the first
+    checkpoint and replays the stimulus in full steps, which must
+    reproduce the observed trace and the recorded register states; only
+    after it (``follow_golden``) do steps replay as deltas over the
+    recording, so the check cannot compare the recording with itself.
+    """
     for _ in range(config.reset_cycles):
         injector.step({config.reset_name: 1})
     base = injector.snapshot()
+    injector.record_golden()
     snapshots: dict[int, tuple] = {}
     trace: list[dict[str, int]] = []
     for cycle, entry in enumerate(stimulus):
@@ -431,6 +489,8 @@ def _golden_run(injector, stimulus: Sequence[Mapping[str, int]],
         if any(outputs.get(k) != trace[cycle].get(k) for k in observed):
             selfcheck = "sdc"
             break
+    if not injector.follow_golden():
+        selfcheck = "sdc"
     return _GoldenRun(snapshots, trace, done, drain_cycles, detect_trace,
                       observed, selfcheck)
 
@@ -438,7 +498,13 @@ def _golden_run(injector, stimulus: Sequence[Mapping[str, int]],
 def _classify(injector, fault: Fault,
               stimulus: Sequence[Mapping[str, int]], golden: _GoldenRun,
               config: CampaignConfig) -> FaultRecord:
-    """Restore the fault's checkpoint, inject, replay the tail, classify."""
+    """Restore the fault's checkpoint, inject, replay the tail, classify.
+
+    The replay stops on the first step that makes the faulty machine the
+    golden one (``injector.converged()``, never true while a stuck-at is
+    forced): the rest of the stimulus and the drain then repeat the
+    golden run, so the record is already final.
+    """
     injector.restore(golden.snapshots[fault.cycle])
     first_divergence: int | None = None
     detected = False
@@ -458,12 +524,15 @@ def _classify(injector, fault: Fault,
                 for k in config.detect_signals
             ):
                 detected = True
-        if golden.done:
-            done, _, _, drain_detected = _drain(
-                injector, config, golden.detect_trace
-            )
-            hang = not done
-            detected = detected or drain_detected
+            if injector.converged():
+                break
+        else:
+            if golden.done:
+                done, _, _, drain_detected = _drain(
+                    injector, config, golden.detect_trace
+                )
+                hang = not done
+                detected = detected or drain_detected
     except DeadlineExceeded:
         # A wall-clock deadline is an execution-infrastructure event,
         # not a simulator detection — let the supervisor retry or
@@ -549,18 +618,14 @@ def _classify_batch(injector, faults: Sequence[Fault],
             detect_trace = golden.detect_trace
             active = all_lanes
             cycles = 0
-            # Brent-style periodicity shortcut for hang lanes: the
-            # drain input and masks are constant and lanes independent,
-            # so once the active lanes' flop bits repeat with unchanged
+            # Periodicity shortcut for hang lanes: the drain input and
+            # masks are constant and lanes independent, so once the
+            # active lanes' flop bits repeat with unchanged
             # active/detected masks (and the detect reference clamped to
             # its final entry), no active lane can ever quiesce or newly
             # detect — the classification is already exactly what
-            # exhausting the budget would produce.  One stored snapshot,
-            # refreshed at power-of-two cycle counts, detects any period
-            # within the budget.
-            snapshot: list[int] | None = None
-            snap_active = snap_detected = 0
-            next_snap = 1
+            # exhausting the budget would produce.
+            cycle_check = _CycleCheck()
             while cycles < config.drain_budget + 1:
                 injector.step_lanes(idle)
                 if config.detect_signals:
@@ -576,16 +641,10 @@ def _classify_batch(injector, faults: Sequence[Fault],
                 active &= ~done
                 if not active:
                     break
-                if cycles >= len(detect_trace) - 1:
-                    if (snapshot is not None and active == snap_active
-                            and detected == snap_detected
-                            and injector.lane_state_snapshot(active)
-                            == snapshot):
-                        break
-                    if cycles >= next_snap:
-                        snapshot = injector.lane_state_snapshot(active)
-                        snap_active, snap_detected = active, detected
-                        next_snap *= 2
+                if cycles >= len(detect_trace) - 1 and cycle_check.repeats(
+                        cycles, (active, detected,
+                                 injector.lane_state_snapshot(active))):
+                    break
             hang = active
     finally:
         injector.end_lanes()

@@ -17,7 +17,15 @@ Both injectors speak the same small protocol the campaign engine
 ``clear_faults()``         release stuck-at forcing;
 ``seu_targets()``          deterministic ``(name, width)`` state bits;
 ``net_targets()``          deterministic net names for stuck-at/transient
-                           faults (empty at RTL level).
+                           faults (empty at RTL level);
+``record_golden()``        record the golden run from the next step on;
+``follow_golden()``        end the recording, which replays then follow
+                           (``False`` if the self-check's re-steps did
+                           not reproduce it);
+``converged()``            whether the last step made the faulty machine
+                           the golden one (always ``False`` on gates);
+``state_key()``            a comparable state that fixes every later
+                           cycle under a constant input.
 
 The gate injector on the ``bitparallel`` backend adds a lane surface
 (``lane_capacity``, ``resolve``, ``inject_lane``, ``step_lanes`` …) so
@@ -26,6 +34,8 @@ one replay classifies up to 64 faults of any kind.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Mapping
 
 from repro.netlist.circuit import Circuit, Net, NetlistError
@@ -59,8 +69,35 @@ def _unique_names(pairs):
 # ======================================================================
 # RTL level
 # ======================================================================
+class _Trajectory:
+    """One golden run, cycle by cycle, as tuples in register/output order."""
+
+    __slots__ = ("start", "inputs", "outputs", "states", "checked")
+
+    def __init__(self, start: int, state: tuple) -> None:
+        #: ``sim.cycle`` of the first recorded step.
+        self.start = start
+        #: Per step: the full input valuation after drive, and the outputs.
+        self.inputs: list[tuple] = []
+        self.outputs: list[tuple] = []
+        #: The register state before every step, plus the one after the last.
+        self.states: list[tuple] = [state]
+        #: Whether every re-stepped cycle reproduced its record.
+        self.checked = True
+
+
 class RtlFaultInjector:
-    """SEU injection on :class:`RtlSimulator` register state."""
+    """SEU injection on :class:`RtlSimulator` register state.
+
+    Replays run concurrently with the golden run (after Ulrich & Baker's
+    concurrent fault simulation): :meth:`record_golden` records the
+    golden trajectory, and once :meth:`follow_golden` accepts it, a
+    step whose cycle and driven inputs match a recorded one evaluates
+    only the outputs and register next-values whose cone reads a
+    register that differs from that cycle's golden state
+    (:meth:`~repro.rtl.simulate.RtlSimulator.fanout`); every other value
+    is the golden one.  Any other step is a full simulator step.
+    """
 
     flow = "rtl"
 
@@ -69,10 +106,62 @@ class RtlFaultInjector:
         self._by_name: dict[str, Register] = dict(
             _unique_names((reg.name, reg) for reg in sim.registers())
         )
+        self._uids = [reg.uid for reg in sim.registers()]
+        self._record: _Trajectory | None = None
+        self._follow: _Trajectory | None = None
+        self._converged = False
 
     # -- campaign protocol --------------------------------------------
     def step(self, entry: Mapping[str, int]) -> dict[str, int]:
-        return self.sim.step(**dict(entry))
+        sim = self.sim
+        sim.drive(**dict(entry))
+        self._converged = False
+        if self._record is not None:
+            return self._record_step(self._record)
+        traj = self._follow
+        if traj is not None:
+            k = sim.cycle - traj.start
+            if (0 <= k < len(traj.outputs)
+                    and traj.inputs[k] == tuple(sim._inputs.values())):
+                return self._delta_step(traj, k)
+        return sim.step()
+
+    def record_golden(self) -> None:
+        """Record the golden run from the next step on.
+
+        Replaces the previous trajectory, which is no longer followed:
+        convergence means equal to *this* campaign's golden run.  Until
+        :meth:`follow_golden`, every step is a full simulator step, and
+        a step over a cycle already recorded (the golden self-check)
+        must reproduce that cycle's inputs and register state.
+        """
+        self._record = _Trajectory(self.sim.cycle, self._state())
+        self._follow = None
+
+    def follow_golden(self) -> bool:
+        """End the recording; later replays follow it if it checked out.
+
+        Returns ``False`` when a re-stepped cycle did not reproduce its
+        record; the trajectory is then dropped and replays step in full.
+        """
+        traj, self._record = self._record, None
+        if traj is not None and traj.checked:
+            self._follow = traj
+        return traj is None or traj.checked
+
+    def converged(self) -> bool:
+        """Whether the last step turned the faulty machine into the golden one.
+
+        True after a delta step that left every register equal to the
+        golden state of the next cycle, when the golden run continued
+        from that state: with the same inputs from there on, the replay
+        repeats the golden run, so nothing can diverge, fire or hang.
+        """
+        return self._converged
+
+    def state_key(self) -> tuple:
+        """Register values plus held inputs: together they fix every later cycle."""
+        return self._state(), tuple(self.sim._inputs.values())
 
     def snapshot(self) -> tuple:
         return (dict(self.sim.state), self.sim.cycle, dict(self.sim._inputs))
@@ -119,6 +208,78 @@ class RtlFaultInjector:
         raw = self.sim.register_value(reg) ^ (1 << bit)
         self.sim.poke_register(reg, raw)
         return raw
+
+    # -- golden trajectory and delta steps ------------------------------
+    def _state(self) -> tuple:
+        return tuple(map(self.sim.state.__getitem__, self._uids))
+
+    def _record_step(self, traj: _Trajectory) -> dict[str, int]:
+        sim = self.sim
+        k = sim.cycle - traj.start
+        if k == len(traj.outputs):
+            traj.inputs.append(tuple(sim._inputs.values()))
+            outputs = sim.step()
+            traj.outputs.append(tuple(outputs.values()))
+            traj.states.append(self._state())
+            return outputs
+        traj.checked = traj.checked and 0 <= k < len(traj.outputs) and (
+            traj.inputs[k] == tuple(sim._inputs.values())
+            and traj.states[k] == self._state()
+        )
+        return sim.step()
+
+    def _cone(self, diff) -> tuple[list, list]:
+        """The outputs and registers to evaluate when *diff* registers differ."""
+        fanout = self.sim.fanout()
+        outs: set[int] = set()
+        regs: set[int] = set()
+        for k in diff:
+            readers, observers = fanout[k]
+            regs.update(readers)
+            outs.update(observers)
+        outputs = list(self.sim.module.outputs.items())
+        registers = self.sim.registers()
+        return (
+            [outputs[o] for o in sorted(outs)],
+            [(k, registers[k].uid, registers[k].next) for k in sorted(regs)],
+        )
+
+    def _delta_step(self, traj: _Trajectory, k: int) -> dict[str, int]:
+        """Cycle ``traj.start + k`` as a delta over the golden cycle.
+
+        Evaluates the fan-out of the registers that differ from the
+        golden state, outputs first, each group in the full step's
+        order (so an evaluation error is the one a full step raises),
+        and takes every other value from the golden cycle.  The counters
+        count this work: one step, the next-values computed as commits,
+        and the commits among them that changed the state.
+        """
+        sim = self.sim
+        state = sim.state
+        # The indices where the state differs from the golden one.
+        diff = itertools.compress(itertools.count(), map(
+            operator.ne, self._state(), traj.states[k]))
+        out_cone, reg_cone = self._cone(diff)
+        valuation = sim._make_valuation()
+        outputs = dict(zip(sim.module.outputs, traj.outputs[k]))
+        for name, expr in out_cone:
+            outputs[name] = expr.evaluate(valuation)
+        updates = [(i, uid, expr.evaluate(valuation))
+                   for i, uid, expr in reg_cone]
+        after = traj.states[k + 1]
+        diverged = any(value != after[i] for i, _, value in updates)
+        sim._register_commits += len(updates)
+        sim._register_changes += sum(state[uid] != value
+                                     for _, uid, value in updates)
+        state.update(zip(self._uids, after))
+        for _, uid, value in updates:
+            state[uid] = value
+        sim._steps += 1
+        sim.cycle += 1
+        for hook in sim.step_hooks:
+            hook()
+        self._converged = not diverged and k + 1 < len(traj.outputs)
+        return outputs
 
 
 # ======================================================================
@@ -702,6 +863,20 @@ class GateFaultInjector:
 
     def clear_faults(self) -> None:
         self.sim.release_all()
+
+    def record_golden(self) -> None:
+        """Gate replays do not follow the golden run: nothing to record."""
+
+    def follow_golden(self) -> bool:
+        return True
+
+    def converged(self) -> bool:
+        """Never: gate replays do not follow a golden trajectory."""
+        return False
+
+    def state_key(self) -> tuple:
+        """The flop values: under a fixed input they fix every later cycle."""
+        return tuple(self.sim.lane_state_snapshot(1))
 
     # -- lane-parallel (PPSFP) surface --------------------------------
     @property

@@ -61,6 +61,7 @@ class RtlSimulator:
         self._register_commits = 0
         self._register_changes = 0
         self._carrier_evals = 0
+        self._fanout: list | None = None  # see fanout()
         self.reset_state()
         self._inputs: dict[str, int] = {
             name: 0 for name in module.inputs
@@ -156,6 +157,36 @@ class RtlSimulator:
             name: expr.evaluate(valuation)
             for name, expr in self.module.outputs.items()
         }
+
+    def fanout(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Per register, who reads it: ``(register indices, output indices)``.
+
+        Entry ``k`` belongs to ``registers()[k]``: the ascending indices
+        into :meth:`registers` of every register whose next-value cone
+        reads it, and into ``module.outputs`` of every top-level output
+        whose cone does.  Cones follow wires, child-instance inputs and
+        instance outputs, and take both arms of every mux, so the map is
+        conservative: a value outside a register's fan-out cannot change
+        when only that register does.  A combinational loop makes every
+        cone read every register.  Computed on first use, then cached.
+        """
+        if self._fanout is not None:
+            return self._fanout
+        n = len(self._registers)
+        outputs = list(self.module.outputs.values())
+        cones = _Cones(self)
+        try:
+            reg_cones = [cones.of_expr(reg.next) for reg, _ in self._registers]
+            out_cones = [cones.of_expr(expr) for expr in outputs]
+        except CombinationalLoopError:
+            every = (1 << n) - 1
+            reg_cones, out_cones = [every] * n, [every] * len(outputs)
+        self._fanout = [
+            (tuple(r for r, cone in enumerate(reg_cones) if cone >> k & 1),
+             tuple(o for o, cone in enumerate(out_cones) if cone >> k & 1))
+            for k in range(n)
+        ]
+        return self._fanout
 
     def check_no_comb_loops(self) -> None:
         """Evaluate every expression cone once to prove it is acyclic.
@@ -285,3 +316,52 @@ class RtlSimulator:
 
     def __repr__(self) -> str:
         return f"RtlSimulator({self.module.name!r}, cycle={self.cycle})"
+
+
+class _Cones:
+    """The registers each expression cone reads, as bit masks over indices.
+
+    Static: cones follow wires, child-instance inputs and instance
+    outputs, and take both arms of every mux (see
+    :meth:`RtlSimulator.fanout`).  Memoized per expression and carrier.
+    """
+
+    def __init__(self, sim: RtlSimulator) -> None:
+        self._sim = sim
+        self._index = {reg.uid: k for k, reg in enumerate(sim.registers())}
+        self._carriers: dict[int, int | None] = {}  # None: on the stack
+        self._exprs: dict[int, int] = {}  # by id()
+
+    def of_expr(self, expr) -> int:
+        mask = self._exprs.get(id(expr))
+        if mask is None:
+            if isinstance(expr, Read):
+                mask = self.of_carrier(expr.carrier)
+            else:
+                mask = 0
+                for child in expr.children():
+                    mask |= self.of_expr(child)
+            self._exprs[id(expr)] = mask
+        return mask
+
+    def of_carrier(self, carrier: Carrier) -> int:
+        uid = carrier.uid
+        if uid in self._carriers:
+            mask = self._carriers[uid]
+            if mask is None:
+                raise CombinationalLoopError(carrier.name)
+            return mask
+        self._carriers[uid] = None
+        if isinstance(carrier, Register):
+            mask = 1 << self._index[uid]
+        elif isinstance(carrier, InputCarrier):
+            parent = self._sim._input_parent.get(uid)
+            mask = 0 if parent is None else self.of_expr(
+                parent[0].connections[carrier.name])
+        elif isinstance(carrier, WireCarrier):
+            mask = self.of_expr(carrier.expr)
+        else:
+            mask = self.of_expr(
+                carrier.instance.module.outputs[carrier.port_name])
+        self._carriers[uid] = mask
+        return mask

@@ -32,9 +32,19 @@ def _injector():
 
 
 class SlowStepInjector(RtlFaultInjector):
-    """Injector burning wall-clock per cycle: deadline/kill test dilator."""
+    """Injector burning wall-clock per cycle: deadline/kill test dilator.
+
+    It also sleeps once per injection, longer than any deadline these
+    tests set, so a replay overruns however few cycles it simulates (a
+    replay that rejoins the golden run stops after a step or two).
+    """
 
     delay = 0.05
+    inject_delay = 0.25
+
+    def inject(self, fault):
+        time.sleep(self.inject_delay)
+        super().inject(fault)
 
     def step(self, entry):
         time.sleep(self.delay)
@@ -50,6 +60,8 @@ class SelectivelySlowInjector(RtlFaultInjector):
 
     Deadline tests want a *partial* quarantine — some faults timed out,
     the rest classified normally — to pin the summary-rate denominator.
+    Like :class:`SlowStepInjector`, a slow replay also sleeps once per
+    injection, so it overruns however few cycles it simulates.
     """
 
     slow_target = "busy"
@@ -58,6 +70,8 @@ class SelectivelySlowInjector(RtlFaultInjector):
 
     def inject(self, fault):
         self._crawl = fault.target == self.slow_target
+        if self._crawl:
+            time.sleep(SlowStepInjector.inject_delay)
         super().inject(fault)
 
     def clear_faults(self):
