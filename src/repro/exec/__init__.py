@@ -21,6 +21,7 @@ from repro.exec.pool import (
     PoolError,
     PoolOutcome,
     SupervisedPool,
+    TaskCancelled,
     TaskPickleError,
 )
 
@@ -34,6 +35,7 @@ __all__ = [
     "PoolError",
     "PoolOutcome",
     "SupervisedPool",
+    "TaskCancelled",
     "TaskPickleError",
     "can_enforce",
     "fault_key",

@@ -39,18 +39,26 @@ worker ``os._exit(42)`` with that probability on each task receipt —
 the supervision path is then exercised for real by the test suite and
 the CI resilience-smoke job.
 
-Two driving modes share the same supervision machinery:
+One loop, :meth:`SupervisedPool.pump`, supervises everything.  The
+stream calls (:meth:`start_stream` / :meth:`submit_stream` /
+:meth:`pump` / :meth:`cancel_stream` / :meth:`stop_stream`) expose it
+to callers whose tasks arrive one at a time over the pool's lifetime,
+such as the ``repro serve`` job server; :meth:`SupervisedPool.run`,
+the fault campaigns' batch entry point, is a stream drained to
+completion.  Completions arrive through callbacks on the pumping
+thread.  A session exposing ``bind_emitter(emit)`` gets a callable
+that ships JSON-able progress payloads to the ``on_event`` callback
+while its task is still running.
 
-* :meth:`SupervisedPool.run` — the original batch mode: a fixed task
-  list in, results out, used by fault campaigns;
-* the **stream mode** (:meth:`start_stream` / :meth:`submit_stream` /
-  :meth:`pump` / :meth:`cancel_stream` / :meth:`stop_stream`) — tasks
-  arrive one at a time over the pool's lifetime and completions are
-  delivered through callbacks, which is what a long-lived job server
-  (``repro serve``) needs.  Stream tasks may additionally emit
-  progress **events**: a session exposing ``bind_emitter(emit)`` gets
-  a callable that ships any JSON-able payload back to the parent's
-  ``on_event`` callback while the task is still running.
+With ``jobs <= 1``, or once the pool degrades, the same loop runs
+tasks in-process on the pumping thread, one per :meth:`pump` call.
+``SIGALRM`` deadlines work only on the main thread, so a session
+exposing ``bind_guard(check)`` gets a check to call at its own stage
+boundaries: it raises :class:`DeadlineExceeded` past the task
+deadline and :class:`TaskCancelled` once :meth:`cancel_stream` hits the
+running task.  The pool's lock guards its state, so the stream calls
+are safe from any thread; :meth:`pump` releases it while an in-process
+task runs and while it waits for worker traffic.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ import pickle
 import random
 import signal
 import sys
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -91,6 +100,16 @@ class MetaMismatchError(PoolError):
     """Two workers disagree on session metadata (non-deterministic setup)."""
 
 
+class TaskCancelled(RuntimeError):
+    """Raised by an in-process task's guard once the task is cancelled.
+
+    Like :class:`DeadlineExceeded`, deliberately outside every flow's
+    recoverable-error tuple (e.g. :data:`repro.dse.evaluate.POINT_ERRORS`)
+    and not a :class:`PoolError`, so a cancelled job unwinds instead of
+    being recorded as a failed design point.
+    """
+
+
 def _fresh_stats(jobs: int) -> dict[str, int]:
     return {
         "jobs": jobs,
@@ -113,6 +132,17 @@ def _task_label(session: Any, idx: int, task: Any) -> str:
     when it defines one, else the task's index."""
     label = getattr(session, "label", None)
     return label(task) if callable(label) else f"task[{idx}]"
+
+
+def _wait(conns: list) -> None:
+    """Wait up to one poll interval for traffic on *conns*."""
+    if not conns:
+        time.sleep(_POLL_S)
+        return
+    try:
+        multiprocessing.connection.wait(conns, _POLL_S)
+    except (OSError, ValueError):
+        pass  # another thread's cancel closed one; the next poll sees why
 
 
 def _worker_main(worker_id: int, session_factory: Callable[[], Any],
@@ -141,9 +171,9 @@ def _worker_main(worker_id: int, session_factory: Callable[[], Any],
     except BaseException as exc:
         send(("init_error", worker_id, f"{type(exc).__name__}: {exc}"))
         return
-    # Stream-mode progress feed: a session exposing ``bind_emitter``
-    # gets a callable shipping JSON-able payloads to the parent's
-    # ``on_event`` callback, tagged with the task index in flight.
+    # Progress feed: a session exposing ``bind_emitter`` gets a callable
+    # shipping JSON-able payloads to the parent's ``on_event`` callback,
+    # tagged with the task index in flight.
     current_idx: list[Any] = [None]
     bind = getattr(session, "bind_emitter", None)
     if callable(bind):
@@ -264,14 +294,24 @@ class SupervisedPool:
         self.tracer = tracer or NULL_TRACER
         self.chaos_p = float(os.environ.get(CHAOS_ENV) or 0.0)
         self.stats = _fresh_stats(self.jobs)
+        # Lock order: this lock, then whatever the callbacks take.
+        self._lock = threading.Lock()
+        self._streaming = False
         self._workers: dict[int, _Worker] = {}
         self._next_id = 0
         self._respawns = 0
         self._meta: Any = None
         self._meta_seen = False
         self._ctx = None
-        self._stream: dict[str, Any] | None = None
-        self._on_event: Callable[[int, Any], None] | None = None
+        self._tasks: dict[int, Any] = {}  # unresolved: idx -> payload
+        self._pending: deque[int] = deque()
+        self._retries: dict[int, int] = {}
+        self._session: Any = None  # set while running in-process
+        # The in-process task running now: (idx, label, deadline).
+        self._current: tuple[int, str, float | None] | None = None
+        # Stream callbacks, set by start_stream / run.
+        self._on_result = self._on_failure = None
+        self._on_event = self._on_meta = None
 
     # ------------------------------------------------------------------
     # public API
@@ -281,245 +321,322 @@ class SupervisedPool:
             on_meta: Callable[[Any], None] | None = None) -> PoolOutcome:
         """Run every task; returns results/failures keyed by task index.
 
-        *on_result* fires exactly once per task index as its result
-        becomes durable in the parent (the campaign journals there);
-        *on_meta* fires once with the first session's metadata and may
-        raise to abort the run (e.g. resume-consistency checks).  With
-        at most one task, or ``jobs <= 1``, the tasks run in-process on
-        one session — built even for an empty task list, so *on_meta*
-        always fires.
+        A stream drained to completion.  *on_result* fires exactly once
+        per task index as its result becomes durable in the parent (the
+        campaign journals there); *on_meta* fires once with the first
+        session's metadata and may raise to abort the run (e.g.
+        resume-consistency checks).  With at most one task, or
+        ``jobs <= 1``, the tasks run in-process on one session — built
+        even for an empty task list, so *on_meta* always fires.  A task
+        raising in a worker fails the run with :class:`PoolError`; one
+        raising in-process propagates unchanged.
         """
-        self.stats = _fresh_stats(self.jobs)
-        self._meta = None
-        self._meta_seen = False
-        self._respawns = 0
+        tasks = list(tasks)
         results: dict[int, Any] = {}
         failures: dict[int, dict[str, str]] = {}
-        retries: dict[int, int] = {}
-        tasks = list(tasks)
-        if self.jobs <= 1 or len(tasks) <= 1:
-            self._run_inline(tasks, range(len(tasks)), results, failures,
-                             retries, on_result, on_meta)
-            return PoolOutcome(results, failures, self._meta, self.stats)
+
+        def keep(idx: int, value: Any) -> None:
+            results[idx] = value
+            if on_result is not None:
+                on_result(idx, value)
+
+        def fail(idx: int, info: Mapping[str, Any]) -> None:
+            if info["error"] != "task_error":
+                failures[idx] = dict(info)
+            elif "exception" in info:
+                raise info["exception"]
+            else:
+                raise PoolError(f"worker task {idx} failed: "
+                                f"{info['detail']}")
+
         try:
-            self._supervise(tasks, results, failures, retries,
-                            on_result, on_meta)
+            self._start(min(self.jobs, len(tasks)), keep, fail, None,
+                        on_meta)
+            for idx, task in enumerate(tasks):
+                self.submit_stream(idx, task)
+            while self._tasks:
+                self.pump(block=True)
         except BaseException:
-            self._shutdown(force=True)
+            self._stop(force=True)
             raise
-        self._shutdown(force=False)
+        self.stop_stream()
         return PoolOutcome(results, failures, self._meta, self.stats)
 
-    # ------------------------------------------------------------------
-    # stream mode (long-lived servers)
-    # ------------------------------------------------------------------
     def start_stream(self, *,
                      on_result: Callable[[int, Any], None],
-                     on_failure: Callable[[int, Mapping[str, str]], None],
+                     on_failure: Callable[[int, Mapping[str, Any]], None],
                      on_event: Callable[[int, Any], None] | None = None,
-                     on_meta: Callable[[Any], None] | None = None) -> bool:
-        """Spawn workers for open-ended task submission.
+                     on_meta: Callable[[Any], None] | None = None) -> None:
+        """Open the pool for open-ended task submission.
 
-        Returns ``False`` when process workers are unavailable
-        (``jobs <= 1``, no start method, unpicklable factory, spawn
-        failure) — the caller then runs tasks itself.  On ``True``,
-        feed tasks via :meth:`submit_stream`, drive delivery with
-        :meth:`pump`, and finish with :meth:`stop_stream`.  Exactly one
-        of *on_result* / *on_failure* fires per submitted index (unless
-        the index is cancelled first); *on_event* relays worker-side
+        Spawns the workers (or, with ``jobs <= 1``, builds the
+        in-process session).  Feed tasks via :meth:`submit_stream`,
+        drive delivery with :meth:`pump`, and finish with
+        :meth:`stop_stream`.  Exactly one of *on_result* / *on_failure*
+        fires per submitted index, unless the index is cancelled first;
+        a failure is ``{"error": kind, "detail": text}`` with kind
+        ``task_error`` or ``timed_out``.  *on_event* relays session
         progress payloads as ``(idx, payload)`` while tasks run.
+        Raises :class:`TaskPickleError` when the session factory does
+        not pickle under a non-fork start method.
         """
-        self.stats = _fresh_stats(self.jobs)
-        self._meta = None
-        self._meta_seen = False
-        self._respawns = 0
-        if self.jobs <= 1:
-            return False
-        try:
-            self._ctx = self._context()
-        except ValueError:
-            return False
-        if self._ctx.get_start_method() != "fork":
-            try:
-                pickle.dumps(self.session_factory)
-            except Exception:
-                return False
-        self._on_event = on_event
-        self._stream = {
-            "tasks": {},        # idx -> payload (pruned once resolved)
-            "pending": deque(),
-            "results": {},      # idx -> None tombstone after delivery
-            "failures": {},
-            "retries": {},
-            "reported": set(),
-            "on_result": on_result,
-            "on_failure": on_failure,
-            "on_meta": on_meta,
-        }
-        for _ in range(self.jobs):
-            self._spawn()
-        if not self._workers:
-            self._stream = None
-            self._on_event = None
-            return False
-        return True
+        self._start(self.jobs, on_result, on_failure, on_event, on_meta)
 
     def submit_stream(self, idx: int, task: Any) -> None:
         """Queue one task under a caller-chosen unique index."""
-        stream = self._stream
-        if stream is None:
-            raise PoolError("submit_stream outside an active stream")
-        stream["tasks"][idx] = task
-        stream["pending"].append(idx)
+        with self._lock:
+            if not self._streaming:
+                raise PoolError("submit_stream outside an active stream")
+            self._tasks[idx] = task
+            self._pending.append(idx)
 
     def pump(self, block: bool = False) -> int:
-        """Dispatch, collect and deliver; returns unresolved task count.
+        """Dispatch, collect and deliver; returns the unresolved count.
 
-        Call in a loop (``block=True`` waits one poll interval for
-        worker traffic).  All callbacks fire on the pumping thread.
+        The pool's only supervision loop; call it until it returns 0.
+        In-process, each call runs one queued task; with workers,
+        ``block=True`` waits one poll interval for their traffic.  All
+        callbacks fire on the pumping thread.
         """
-        stream = self._stream
-        if stream is None:
-            return 0
-        results, failures = stream["results"], stream["failures"]
-        pending, retries = stream["pending"], stream["retries"]
-        unresolved = any(idx not in results and idx not in failures
-                         for idx in pending)
-        if unresolved and not self._workers:
-            if self._spawn(respawn=True) is None:
-                self._degrade_stream()
-        self._dispatch(stream["tasks"], pending, results, failures)
-        msg = self._poll(block=block)
-        while msg is not None:
-            self._handle(msg, results, failures, pending, retries,
-                         self._deliver_result, stream["on_meta"])
+        with self._lock:
+            if not self._streaming:
+                return 0
+            if (self._session is None and self._tasks and not self._workers
+                    and self._spawn(respawn=True) is None):
+                self._fall_back("no workers left and the respawn budget is "
+                                "spent")
+            session = self._session
+            if session is not None:
+                task = self._pick(session)
+            else:
+                self._dispatch()
+                conns = [worker.result_conn
+                         for worker in self._workers.values()
+                         if not worker.eof]
+        if session is not None:
+            if self._current is not None:
+                self._run_current(session, task)
+            elif block:
+                time.sleep(_POLL_S)
+            return len(self._tasks)
+        if block:
+            _wait(conns)
+        with self._lock:
             msg = self._poll(block=False)
-        self._reap(pending, results, failures, retries,
-                   self._deliver_result, stream["on_meta"])
-        self._deliver_failures()
-        return len(stream["tasks"])
+            while msg is not None:
+                self._handle(msg)
+                msg = self._poll(block=False)
+            self._reap()
+            return len(self._tasks)
 
     def cancel_stream(self, idx: int) -> bool:
-        """Abandon one task: drop it if queued, kill its worker if not.
+        """Abandon one task: drop it if queued, stop it if running.
 
         Returns ``False`` when the index is unknown or already
-        resolved.  A killed worker is replaced outside the respawn
-        budget — cancellation is an orderly operation, not a crash.
+        resolved; no callback fires for a cancelled index.  A worker
+        running the task is killed and replaced outside the respawn
+        budget — cancellation is an orderly operation, not a crash.  An
+        in-process task stops at its guard's next check.
         """
-        stream = self._stream
-        if stream is None:
-            return False
-        if idx not in stream["tasks"]:
-            return False
-        if idx in stream["results"] or idx in stream["failures"]:
-            return False
-        stream["failures"][idx] = {"error": "cancelled",
-                                   "detail": "cancelled by caller"}
-        stream["reported"].add(idx)
-        stream["tasks"].pop(idx, None)
-        for worker in list(self._workers.values()):
-            if worker.inflight != idx:
-                continue
-            worker.process.kill()
-            worker.process.join()
-            self._record_worker(worker)
-            self._close_conns(worker)
-            del self._workers[worker.id]
-            self.stats["cancel_kills"] += 1
-            self._spawn()
-            break
-        return True
+        with self._lock:
+            if idx not in self._tasks:
+                return False
+            del self._tasks[idx]
+            for worker in list(self._workers.values()):
+                if worker.inflight == idx:
+                    self._kill(worker)
+                    self.stats["cancel_kills"] += 1
+                    self._spawn()
+            return True
 
     def stop_stream(self) -> None:
-        """Tear the stream's workers down (graceful, then forceful)."""
-        if self._stream is None:
-            return
-        try:
-            self._shutdown(force=False)
-        finally:
-            self._stream = None
-            self._on_event = None
+        """Tear the stream down (workers graceful, then forceful)."""
+        self._stop(force=False)
 
-    def _deliver_result(self, idx: int, value: Any) -> None:
-        stream = self._stream
-        if idx in stream["reported"]:
-            return
-        stream["reported"].add(idx)
-        stream["tasks"].pop(idx, None)
-        stream["on_result"](idx, value)
-        # Keep a tombstone so duplicate/late messages stay resolved,
-        # but drop the payload — the stream may live for days.
-        stream["results"][idx] = None
+    # ------------------------------------------------------------------
+    # stream lifecycle
+    # ------------------------------------------------------------------
+    def _start(self, workers: int, on_result, on_failure, on_event,
+               on_meta) -> None:
+        """Open the stream on *workers* processes (in-process if <= 1)."""
+        ctx = reason = None
+        if workers > 1:
+            try:
+                ctx = self._context()
+            except ValueError as exc:
+                reason = f"no usable start method ({exc})"
+            else:
+                if ctx.get_start_method() != "fork":
+                    try:
+                        pickle.dumps(self.session_factory)
+                    except Exception as exc:
+                        raise TaskPickleError(
+                            "session factory does not pickle under the "
+                            f"{ctx.get_start_method()!r} start method: "
+                            f"{type(exc).__name__}: {exc}"
+                        ) from exc
+        with self._lock:
+            self.stats = _fresh_stats(self.jobs)
+            self._meta = None
+            self._meta_seen = False
+            self._respawns = 0
+            self._tasks, self._pending, self._retries = {}, deque(), {}
+            self._on_result, self._on_failure = on_result, on_failure
+            self._on_event, self._on_meta = on_event, on_meta
+            self._ctx = ctx
+            self._streaming = True
+            if reason is not None:
+                self._fall_back(reason)
+            elif ctx is None:
+                self._open_session()
+            else:
+                for _ in range(workers):
+                    self._spawn()
 
-    def _deliver_failures(self) -> None:
-        stream = self._stream
-        for idx, info in list(stream["failures"].items()):
-            if idx in stream["reported"]:
-                continue
-            stream["reported"].add(idx)
-            stream["tasks"].pop(idx, None)
-            stream["on_failure"](idx, info)
+    def _stop(self, force: bool) -> None:
+        with self._lock:
+            if not self._streaming:
+                return
+            self._streaming = False
+            self._tasks.clear()  # an in-process task still running stops
+            session, self._session = self._session, None
+            self._shutdown(force=force)
+            stats = getattr(session, "stats", None)
+            summary = (stats() if self.stats["fallback"] and callable(stats)
+                       else None)
+            if summary is not None:
+                # The in-process session's counters stand in for the
+                # worker rollups it replaced.
+                self.tracer.record("inline", 0.0, sim_stats=summary)
 
-    def _degrade_stream(self) -> None:
-        """Workers are gone for good: fail whatever is still queued."""
-        stream = self._stream
+    def _fall_back(self, reason: str) -> None:
+        """Workers are gone for good: finish everything in-process."""
         self.stats["fallback"] = 1
         sys.stderr.write(
-            "repro: supervised pool stream degraded: respawn budget "
-            "spent; failing queued tasks back to the caller\n"
+            f"repro: supervised pool degraded to in-process execution: "
+            f"{reason}\n"
         )
-        for idx in stream["pending"]:
-            if idx in stream["results"] or idx in stream["failures"]:
-                continue
-            stream["failures"][idx] = {
-                "error": "degraded",
-                "detail": "worker pool exhausted its respawn budget",
-            }
-        stream["pending"].clear()
+        self._open_session()
 
     # ------------------------------------------------------------------
-    # supervised execution
+    # in-process execution (jobs <= 1, or degraded)
     # ------------------------------------------------------------------
-    def _supervise(self, tasks, results, failures, retries,
-                   on_result, on_meta) -> None:
-        total = len(tasks)
+    def _open_session(self) -> None:
+        """Build the in-process session; :meth:`pump` runs tasks on it.
+
+        With ``jobs <= 1`` the caller owns the session and reads its
+        ``stats()`` itself, so only a degraded pool records a rollup.
+        """
+        session = self.session_factory()
+        bind = getattr(session, "bind_emitter", None)
+        if callable(bind):
+            bind(self._emit)
+        bind = getattr(session, "bind_guard", None)
+        if callable(bind):
+            bind(self._guard)
+        self._session = session
+        self._check_meta(getattr(session, "meta", None))
+
+    def _pick(self, session: Any) -> Any:
+        """Make the next queued task current; returns its payload."""
+        idx = self._next_pending()
+        if idx is None:
+            return None
+        task = self._tasks[idx]
+        self._current = (idx, _task_label(session, idx, task),
+                         time.monotonic() + self.task_timeout
+                         if self.task_timeout else None)
+        return task
+
+    def _run_current(self, session: Any, task: Any) -> None:
+        """Run the task :meth:`pump` picked, with the lock released."""
+        idx, label, _ = self._current
         try:
-            self._ctx = self._context()
-        except ValueError as exc:
-            self._degrade(f"no usable start method ({exc})", tasks,
-                          range(total), results, failures, retries,
-                          on_result, on_meta)
-            return
-        if self._ctx.get_start_method() != "fork":
-            try:
-                pickle.dumps(self.session_factory)
-            except Exception as exc:
-                raise TaskPickleError(
-                    "session factory does not pickle under the "
-                    f"{self._ctx.get_start_method()!r} start method: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-        for _ in range(min(self.jobs, total)):
-            self._spawn()
-        pending: deque[int] = deque(range(total))
-        while len(results) + len(failures) < total:
-            if not self._workers:
-                if self._spawn(respawn=True) is None:
-                    self._degrade(
-                        "no workers left and the respawn budget is spent",
-                        tasks, range(total), results, failures, retries,
-                        on_result, on_meta,
-                    )
-                    return
-            self._dispatch(tasks, pending, results, failures)
-            msg = self._poll(block=True)
-            while msg is not None:
-                self._handle(msg, results, failures, pending, retries,
-                             on_result, on_meta)
-                msg = self._poll(block=False)
-            self._reap(pending, results, failures, retries,
-                       on_result, on_meta)
+            with time_limit(self.task_timeout, label=label):
+                value = session.run(task)
+        except DeadlineExceeded as exc:
+            if self.task_timeout is None:
+                raise  # an enclosing deadline, not this pool's
+            with self._lock:
+                self.stats["timeouts"] += 1
+                self._after_timeout(idx, str(exc))
+        except TaskCancelled:
+            pass  # cancel_stream already resolved the index
+        except Exception as exc:
+            with self._lock:
+                self._resolve(idx, self._on_failure, {
+                    "error": "task_error",
+                    "detail": f"{type(exc).__name__}: {exc}",
+                    "exception": exc,
+                })
+        else:
+            with self._lock:
+                self.stats["inline_tasks"] += 1
+                self._resolve(idx, self._on_result, value)
+        finally:
+            self._current = None
 
+    def _emit(self, payload: Any) -> None:
+        """``bind_emitter`` callable of the in-process session."""
+        current = self._current
+        if self._on_event is not None and current is not None:
+            self._on_event(current[0], payload)
+
+    def _guard(self, stage: str) -> None:
+        """``bind_guard`` check: stop a cancelled or overdue task."""
+        idx, label, deadline = self._current
+        if idx not in self._tasks:
+            raise TaskCancelled(f"{label} cancelled before stage {stage!r}")
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineExceeded(
+                f"{label} exceeded its {self.task_timeout}s deadline")
+
+    # ------------------------------------------------------------------
+    # resolution (lock held)
+    # ------------------------------------------------------------------
+    def _next_pending(self) -> int | None:
+        while self._pending:
+            idx = self._pending.popleft()
+            if idx in self._tasks:
+                return idx
+        return None  # skipped indices were resolved while queued
+
+    def _resolve(self, idx: int, callback, outcome: Any) -> None:
+        """Fire *callback* once for *idx*; drop a late duplicate (a
+        crashed worker's task redone) or a cancelled index."""
+        if idx in self._tasks:
+            del self._tasks[idx]
+            callback(idx, outcome)
+
+    def _after_timeout(self, idx: int, detail: str) -> None:
+        if idx not in self._tasks:
+            return
+        attempts = self._retries.get(idx, 0)
+        if attempts < self.max_retries:
+            self._retries[idx] = attempts + 1
+            self.stats["timeout_retries"] += 1
+            self._pending.appendleft(idx)
+        else:
+            self.stats["quarantined"] += 1
+            self._resolve(idx, self._on_failure,
+                          {"error": "timed_out", "detail": detail})
+
+    def _check_meta(self, meta) -> None:
+        if not self._meta_seen:
+            self._meta = meta
+            self._meta_seen = True
+            if self._on_meta is not None:
+                self._on_meta(meta)
+        elif meta != self._meta:
+            raise MetaMismatchError(
+                f"workers disagree on session metadata ({meta!r} != "
+                f"{self._meta!r}); the session factory is not "
+                "deterministic across processes"
+            )
+
+    # ------------------------------------------------------------------
+    # worker supervision (lock held)
+    # ------------------------------------------------------------------
     def _context(self):
         if self.start_method:
             return multiprocessing.get_context(self.start_method)
@@ -560,28 +677,22 @@ class SupervisedPool:
         self._workers[wid] = worker
         return worker
 
-    def _dispatch(self, tasks, pending, results, failures) -> None:
+    def _dispatch(self) -> None:
         for worker in self._workers.values():
             if (not worker.ready or worker.retiring or worker.broken
                     or worker.inflight is not None
                     or not worker.process.is_alive()):
                 continue
-            idx = None
-            while pending:
-                candidate = pending.popleft()
-                if candidate in results or candidate in failures:
-                    continue  # resolved while re-queued
-                idx = candidate
-                break
+            idx = self._next_pending()
             if idx is None:
                 return
             worker.inflight = idx
             worker.dispatched_at = time.monotonic()
             try:
-                worker.task_conn.send((idx, tasks[idx]))
+                worker.task_conn.send((idx, self._tasks[idx]))
             except (BrokenPipeError, OSError, ValueError):
                 worker.inflight = None
-                pending.appendleft(idx)
+                self._pending.appendleft(idx)
 
     def _poll(self, block: bool) -> tuple | None:
         """Read one message from whichever worker pipe is ready.
@@ -592,20 +703,16 @@ class SupervisedPool:
         """
         conns = {worker.result_conn: worker
                  for worker in self._workers.values() if not worker.eof}
-        if not conns:
-            if block:
-                time.sleep(_POLL_S)
-            return None
-        timeout = _POLL_S if block else 0
-        for conn in multiprocessing.connection.wait(list(conns), timeout):
+        if block:
+            _wait(list(conns))
+        for conn in multiprocessing.connection.wait(list(conns), 0):
             try:
                 return conn.recv()
             except (EOFError, OSError):
                 conns[conn].eof = True
         return None
 
-    def _handle(self, msg, results, failures, pending, retries,
-                on_result, on_meta) -> None:
+    def _handle(self, msg) -> None:
         kind, wid = msg[0], msg[1]
         worker = self._workers.get(wid)
         if worker is not None:
@@ -614,45 +721,36 @@ class SupervisedPool:
             if worker is not None:
                 worker.ready = True
                 worker.golden_s = msg[3]
-            self._check_meta(msg[2], on_meta)
+            self._check_meta(msg[2])
         elif kind == "ok":
-            idx, value = msg[2], msg[3]
+            idx = msg[2]
             if worker is not None and worker.inflight == idx:
                 worker.inflight = None
                 worker.tasks += 1
-            if idx in results or idx in failures:
-                return  # duplicate: crashed worker's task already redone
-            results[idx] = value
-            if on_result is not None:
-                on_result(idx, value)
+            self._resolve(idx, self._on_result, msg[3])
         elif kind == "timeout":
             idx = msg[2]
             if worker is not None and worker.inflight == idx:
                 worker.inflight = None
             self.stats["timeouts"] += 1
-            self._after_timeout(idx, msg[3], results, failures, pending,
-                                retries)
+            self._after_timeout(idx, str(msg[3]))
             if worker is not None:
                 self._retire(worker)
         elif kind == "event":
             if self._on_event is not None and msg[2] is not None:
                 self._on_event(msg[2], msg[3])
         elif kind == "task_error":
-            if self._stream is not None:
-                # A long-lived server must outlive one bad job: record
-                # the failure against the task and keep the worker.
-                idx = msg[2]
-                if worker is not None and worker.inflight == idx:
-                    worker.inflight = None
-                if idx not in results and idx not in failures:
-                    failures[idx] = {"error": "task_error",
-                                     "detail": str(msg[3])}
-                return
-            raise PoolError(f"worker task {msg[2]} failed: {msg[3]}")
+            # Record the failure against the task and keep the worker: a
+            # long-lived server must outlive one bad job.
+            idx = msg[2]
+            if worker is not None and worker.inflight == idx:
+                worker.inflight = None
+            self._resolve(idx, self._on_failure,
+                          {"error": "task_error", "detail": str(msg[3])})
         elif kind == "init_error":
             # The factory raised in the child.  Don't respawn a doomed
-            # worker; if every worker breaks this way the main loop
-            # degrades to in-process, where the real traceback surfaces.
+            # worker; if every worker breaks this way the pool degrades
+            # to in-process, where the real traceback surfaces.
             self.stats["init_errors"] += 1
             if worker is not None:
                 worker.broken = True
@@ -661,32 +759,6 @@ class SupervisedPool:
             if worker is not None:
                 worker.summary = msg[2]
                 worker.inflight = None
-
-    def _check_meta(self, meta, on_meta) -> None:
-        if not self._meta_seen:
-            self._meta = meta
-            self._meta_seen = True
-            if on_meta is not None:
-                on_meta(meta)
-        elif meta != self._meta:
-            raise MetaMismatchError(
-                f"workers disagree on session metadata ({meta!r} != "
-                f"{self._meta!r}); the session factory is not "
-                "deterministic across processes"
-            )
-
-    def _after_timeout(self, idx, detail, results, failures, pending,
-                       retries) -> None:
-        if idx in results or idx in failures:
-            return
-        attempts = retries.get(idx, 0)
-        if attempts < self.max_retries:
-            retries[idx] = attempts + 1
-            self.stats["timeout_retries"] += 1
-            pending.appendleft(idx)
-        else:
-            failures[idx] = {"error": "timed_out", "detail": str(detail)}
-            self.stats["quarantined"] += 1
 
     def _retire(self, worker: _Worker) -> None:
         """Stop giving a worker tasks and replace it with a fresh one."""
@@ -699,8 +771,7 @@ class SupervisedPool:
             pass
         self._spawn(respawn=True)
 
-    def _drain_conn(self, worker, results, failures, pending, retries,
-                    on_result, on_meta) -> None:
+    def _drain_conn(self, worker: _Worker) -> None:
         """Read out everything a (dead) worker managed to send."""
         while not worker.eof:
             try:
@@ -710,8 +781,15 @@ class SupervisedPool:
             except (EOFError, OSError):
                 worker.eof = True
                 return
-            self._handle(msg, results, failures, pending, retries,
-                         on_result, on_meta)
+            self._handle(msg)
+
+    def _kill(self, worker: _Worker) -> None:
+        """SIGKILL a worker and forget it; the caller decides what next."""
+        worker.process.kill()
+        worker.process.join()
+        self._record_worker(worker)
+        self._close_conns(worker)
+        del self._workers[worker.id]
 
     def _close_conns(self, worker: _Worker) -> None:
         for conn in (worker.task_conn, worker.result_conn):
@@ -720,8 +798,7 @@ class SupervisedPool:
             except OSError:  # pragma: no cover - already closed
                 pass
 
-    def _reap(self, pending, results, failures, retries,
-              on_result, on_meta) -> None:
+    def _reap(self) -> None:
         now = time.monotonic()
         for wid, worker in list(self._workers.items()):
             process = worker.process
@@ -731,8 +808,7 @@ class SupervisedPool:
                 # pipe; those are real, durable work — read them before
                 # judging the corpse, or a crash just after an "ok"
                 # send would re-run (harmless) or miscount the task.
-                self._drain_conn(worker, results, failures, pending,
-                                 retries, on_result, on_meta)
+                self._drain_conn(worker)
                 self._record_worker(worker)
                 self._close_conns(worker)
                 del self._workers[wid]
@@ -742,9 +818,8 @@ class SupervisedPool:
                     continue
                 self.stats["crashes"] += 1
                 idx = worker.inflight
-                if (idx is not None and idx not in results
-                        and idx not in failures):
-                    pending.appendleft(idx)
+                if idx is not None and idx in self._tasks:
+                    self._pending.appendleft(idx)
                     self.stats["crash_requeues"] += 1
                 self._spawn(respawn=True)
             elif (self.task_timeout is not None
@@ -752,80 +827,15 @@ class SupervisedPool:
                     and now - worker.dispatched_at
                     > self.task_timeout * 2 + _JOIN_GRACE_S):
                 # Backstop for hangs SIGALRM can't interrupt (C loops).
-                process.kill()
-                process.join()
-                self._record_worker(worker)
-                self._close_conns(worker)
-                del self._workers[wid]
+                self._kill(worker)
                 self.stats["hung_kills"] += 1
                 self.stats["timeouts"] += 1
                 self._after_timeout(
                     worker.inflight,
                     f"worker hung past {self.task_timeout * 2:.1f}s "
                     "backstop and was killed",
-                    results, failures, pending, retries,
                 )
                 self._spawn(respawn=True)
-
-    # ------------------------------------------------------------------
-    # inline (degraded / jobs=1) execution
-    # ------------------------------------------------------------------
-    def _run_inline(self, tasks, indices, results, failures, retries,
-                    on_result, on_meta) -> Any:
-        """Run the unresolved *indices* on one in-process session.
-
-        Returns the session; a ``jobs <= 1`` caller owns it and reads
-        its ``stats()`` itself, so no rollup span is recorded here.
-        """
-        session = self.session_factory()
-        self._check_meta(getattr(session, "meta", None), on_meta)
-        for idx in indices:
-            if idx in results or idx in failures:
-                continue
-            while True:
-                try:
-                    with time_limit(self.task_timeout,
-                                    label=_task_label(session, idx,
-                                                      tasks[idx])):
-                        value = session.run(tasks[idx])
-                except DeadlineExceeded as exc:
-                    self.stats["timeouts"] += 1
-                    attempts = retries.get(idx, 0)
-                    if attempts < self.max_retries:
-                        retries[idx] = attempts + 1
-                        self.stats["timeout_retries"] += 1
-                        continue
-                    failures[idx] = {"error": "timed_out",
-                                     "detail": str(exc)}
-                    self.stats["quarantined"] += 1
-                    break
-                else:
-                    self.stats["inline_tasks"] += 1
-                    results[idx] = value
-                    if on_result is not None:
-                        on_result(idx, value)
-                    break
-        return session
-
-    def _degrade(self, reason: str, tasks, indices, results, failures,
-                 retries, on_result, on_meta) -> None:
-        """Workers are gone for good: finish *indices* in-process.
-
-        The in-process session's counters stand in for the worker
-        rollups as one ``inline`` span.
-        """
-        self.stats["fallback"] = 1
-        sys.stderr.write(
-            f"repro: supervised pool degraded to in-process execution: "
-            f"{reason}\n"
-        )
-        self._shutdown(force=True)
-        session = self._run_inline(tasks, indices, results, failures,
-                                   retries, on_result, on_meta)
-        stats = getattr(session, "stats", None)
-        summary = stats() if callable(stats) else None
-        if summary is not None:
-            self.tracer.record("inline", 0.0, sim_stats=summary)
 
     # ------------------------------------------------------------------
     # teardown

@@ -9,8 +9,9 @@ The package splits along the protocol boundary:
     ``analyze``/``inject`` commands call the same flow functions
     directly), and the byte-exact :func:`render_result` convention.
 :mod:`repro.serve.scheduler`
-    Queue, fingerprint-based request coalescing, and the two
-    executors (supervised worker processes / in-process threads).
+    Queue, fingerprint-based request coalescing, and the one
+    executor: a supervised pool stream running jobs on worker
+    processes, or in-process on its pump thread.
 :mod:`repro.serve.server`
     The JSON-over-HTTP daemon (TCP or Unix socket) with graceful
     drain on SIGTERM/SIGINT.
@@ -21,7 +22,6 @@ The package splits along the protocol boundary:
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.jobs import (
     JOB_KINDS,
-    JobCancelled,
     JobError,
     JobSpec,
     default_design,
@@ -35,7 +35,6 @@ from repro.serve.server import build_server, run_server
 __all__ = [
     "JOB_KINDS",
     "Job",
-    "JobCancelled",
     "JobError",
     "JobSession",
     "JobSpec",

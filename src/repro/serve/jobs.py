@@ -37,15 +37,6 @@ class JobError(ValueError):
     """A submission is malformed: unknown kind, bad parameter."""
 
 
-class JobCancelled(RuntimeError):
-    """Raised inside a running job when its cancellation was requested.
-
-    Deliberately *not* a member of any flow's recoverable-error tuple
-    (e.g. :data:`repro.dse.evaluate.POINT_ERRORS`), so a cancellation
-    unwinds the whole job instead of being recorded as a point failure.
-    """
-
-
 #: Parameter schema per job kind: ``name -> (default, choices | type,
 #: help)``.  The one-shot CLI commands declare their job options from
 #: this table (:func:`repro.cli.build_parser`), so a parameterless job

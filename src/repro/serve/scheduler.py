@@ -1,4 +1,4 @@
-"""Job scheduling for ``repro serve``: queue, coalescing, executors.
+"""Job scheduling for ``repro serve``: queue, coalescing, one executor.
 
 The :class:`Scheduler` owns every job the server has seen.  Its three
 responsibilities:
@@ -7,8 +7,8 @@ responsibilities:
 cancelled``; every transition appends a sequenced event to the job's
 event log, which the ``/jobs/<id>/events`` long-poll endpoint streams.
 While a job runs, its profiler spans close into the same log (via
-:class:`repro.obs.Tracer`'s ``on_close`` hook worker-side, relayed
-through the pool's event pipe), so clients watch stages finish live.
+:class:`repro.obs.Tracer`'s ``on_close`` hook, relayed through the
+pool's event feed), so clients watch stages finish live.
 
 **Coalescing.**  Submissions are keyed by
 :meth:`~repro.serve.jobs.JobSpec.fingerprint`.  While a job for a
@@ -19,14 +19,17 @@ dedup tests assert this through the store's stage counters).
 ``force=True`` opts a submission out of coalescing in both directions:
 it neither joins an active job nor becomes a target for later ones.
 
-**Execution.**  With ``workers >= 2`` jobs run on a
-:class:`repro.exec.SupervisedPool` in stream mode — crash supervision,
-deadlines and cancel-by-kill come from the same machinery fault
-campaigns use.  With fewer workers, or when the pool cannot start
-(no usable start method, spent respawn budget), the scheduler degrades
-to in-process worker threads sharing the server's store; cancellation
-then rides the per-stage ``guard`` hook and takes effect at the next
-stage boundary.
+**Execution.**  Every job runs on one
+:class:`repro.exec.SupervisedPool` stream, driven by one pump thread.
+With ``workers >= 2`` the pool runs jobs on supervised worker
+processes: crash supervision, ``SIGALRM`` deadlines and cancel-by-kill
+come from the same machinery fault campaigns use.  With fewer workers,
+or once the pool degrades (no usable start method, spent respawn
+budget), the same loop runs jobs in-process on the pump thread through
+the same :class:`JobSession`; cancel and ``--job-timeout`` then take
+effect at the next stage boundary, through the guard the pool binds.
+On either executor a job that overruns its deadline ends ``cancelled``
+with an error naming the deadline.
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ import time
 from collections import deque
 from typing import Any, Callable, Mapping
 
-from repro.exec.pool import SupervisedPool
+from repro.exec.deadline import DeadlineExceeded
+from repro.exec.pool import SupervisedPool, TaskCancelled
 from repro.obs.profiler import Tracer
 from repro.store import ArtifactStore
 
 from repro.serve.jobs import (
-    JobCancelled,
     JobSpec,
     make_spec,
     run_job,
@@ -66,7 +69,7 @@ class Job:
     __slots__ = ("id", "spec", "fingerprint", "force", "state",
                  "submitted_at", "started_at", "finished_at", "payload",
                  "error", "events", "event_seq", "events_dropped",
-                 "dedup_count", "use_journal", "cancel_event", "idx")
+                 "dedup_count", "use_journal", "idx")
 
     def __init__(self, job_id: str, spec: JobSpec, force: bool,
                  use_journal: bool) -> None:
@@ -85,7 +88,6 @@ class Job:
         self.events_dropped = 0
         self.dedup_count = 0
         self.use_journal = use_journal
-        self.cancel_event = threading.Event()
         self.idx: int | None = None  # stream index while on the pool
 
     def as_dict(self) -> dict[str, Any]:
@@ -108,38 +110,54 @@ class Job:
 
 
 class JobSession:
-    """Worker-process session for the supervised pool (picklable).
+    """The pool session every served job runs on (picklable).
 
-    Each worker builds its own :class:`ArtifactStore` handle on the
-    shared root (flock arbitration keeps them coherent) and runs jobs
-    through :func:`repro.serve.jobs.run_job`.  Exceptions become
-    ``{"ok": False}`` results — a bad job must never look like a
-    worker crash to the supervisor.  ``bind_emitter`` (stream-mode
-    hook) wires a per-job tracer whose closing spans stream back to
-    the parent as progress events.
+    Worker processes build it from the store root and open their own
+    :class:`ArtifactStore` handle on first use (flock arbitration keeps
+    handles coherent); the in-process executor presets :attr:`store`
+    to the server's own.  Jobs run through
+    :func:`repro.serve.jobs.run_job`.  Their exceptions become
+    ``{"ok": False}`` results — a bad job must never look like a worker
+    crash to the supervisor — except the pool's deadline and cancel
+    exceptions, which the pool turns into the job's outcome.
+    ``bind_emitter`` wires a per-job tracer whose closing spans stream
+    back as progress events; ``bind_guard`` (in-process only) threads
+    the pool's cancel and deadline check into every stage.
     """
 
     def __init__(self, store_root: str | None) -> None:
         self.store_root = store_root
         self.meta = {"session": "repro-serve", "store": store_root}
-        self._store: ArtifactStore | None = None
+        self.store: ArtifactStore | None = None
         self._emit: Callable[[Any], None] | None = None
+        self._guard: Callable[[str], None] | None = None
 
     def bind_emitter(self, emit: Callable[[Any], None]) -> None:
         self._emit = emit
 
+    def bind_guard(self, check: Callable[[str], None]) -> None:
+        self._guard = check
+
+    @staticmethod
+    def label(task: tuple[str, dict[str, Any], bool]) -> str:
+        """How deadline messages name a job: ``build job``."""
+        return f"{task[0]} job"
+
     def run(self, task: tuple[str, dict[str, Any], bool]) -> dict[str, Any]:
         kind, params, use_journal = task
-        if self.store_root is not None and self._store is None:
-            self._store = ArtifactStore(self.store_root)
+        if self.store_root is not None and self.store is None:
+            self.store = ArtifactStore(self.store_root)
         tracer = None
         emit = self._emit
         if emit is not None:
             tracer = Tracer(f"job:{kind}",
                             on_close=lambda span: emit(span_event(span)))
         try:
-            payload = run_job(make_spec(kind, params), store=self._store,
-                              tracer=tracer, use_journal=use_journal)
+            payload = run_job(make_spec(kind, params), store=self.store,
+                              tracer=tracer, guard=self._guard,
+                              use_journal=use_journal)
+        except (DeadlineExceeded, TaskCancelled):
+            raise
         except Exception as exc:  # noqa: BLE001 - reported, not raised
             return {"ok": False,
                     "error": f"{type(exc).__name__}: {exc}"}
@@ -155,11 +173,12 @@ class Scheduler:
         The shared design library, or ``None`` to run uncached.
     workers:
         ``>= 2`` runs jobs on supervised worker processes; ``0``/``1``
-        runs them on one in-process worker thread.
+        runs them in-process on the pump thread, sharing *store*.
     job_timeout:
-        Per-job wall-clock deadline in seconds.  Enforced exactly in
-        process mode (pool deadline); at stage boundaries in thread
-        mode (the guard hook, SIGALRM being main-thread-only).
+        Per-job wall-clock deadline in seconds.  Enforced exactly on
+        worker processes (``SIGALRM``); at stage boundaries in-process
+        (the pool's guard, ``SIGALRM`` being main-thread-only).  An
+        overrun job ends ``cancelled``.
     """
 
     def __init__(self, store: ArtifactStore | None, workers: int = 2,
@@ -181,46 +200,40 @@ class Scheduler:
         self._next_idx = 0
         self._draining = False
         self._stopped = False
-        # Lock order: _pool_lock strictly outside _cond.
-        self._pool_lock = threading.Lock()
+        # Lock order: the pool's lock (held while its callbacks fire),
+        # then _cond; never the other way round.
         self._pool: SupervisedPool | None = None
         self._pump_thread: threading.Thread | None = None
-        self._threads: list[threading.Thread] = []
 
     # ------------------------------------------------------------------
-    # startup / executors
+    # startup
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Bring the executor up.  Call before serving HTTP traffic —
-        process workers fork here, while the process is still
-        single-threaded."""
-        if self.workers >= 2:
-            root = str(self.store.root) if self.store is not None else None
-            pool = SupervisedPool(
-                functools.partial(JobSession, root),
-                jobs=self.workers,
-                task_timeout=self.job_timeout,
-                max_retries=0,  # jobs are too big to silently re-run
-            )
-            if pool.start_stream(on_result=self._on_pool_result,
-                                 on_failure=self._on_pool_failure,
-                                 on_event=self._on_pool_event):
-                self._pool = pool
-                self.mode = "process"
-                self._pump_thread = threading.Thread(
-                    target=self._pump_loop, name="serve-pump", daemon=True)
-                self._pump_thread.start()
-                return
-        self._start_threads("thread")
-
-    def _start_threads(self, mode: str) -> None:
-        self.mode = mode
-        count = max(1, min(self.workers, 4)) if self.workers else 1
-        for n in range(count):
-            thread = threading.Thread(target=self._thread_loop,
-                                      name=f"serve-worker-{n}", daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        """Bring the pool and its pump thread up.  Call before serving
+        HTTP traffic — process workers fork here, while the process is
+        still single-threaded."""
+        root = str(self.store.root) if self.store is not None else None
+        session = None
+        if self.workers < 2:
+            # In-process jobs share the server's store object, counters
+            # included.  Workers (and a degraded pool) open their own.
+            session = JobSession(root)
+            session.store = self.store
+        pool = SupervisedPool(
+            functools.partial(JobSession, root) if session is None
+            else (lambda: session),
+            jobs=self.workers,
+            task_timeout=self.job_timeout,
+            max_retries=0,  # jobs are too big to silently re-run
+        )
+        pool.start_stream(on_result=self._on_pool_result,
+                          on_failure=self._on_pool_failure,
+                          on_event=self._on_pool_event)
+        self._pool = pool
+        self.mode = "process" if self.workers >= 2 else "thread"
+        self._pump_thread = threading.Thread(
+            target=self._pump_loop, name="serve-pump", daemon=True)
+        self._pump_thread.start()
 
     # ------------------------------------------------------------------
     # submission / queries
@@ -304,30 +317,23 @@ class Scheduler:
     def cancel(self, job_id: str) -> bool:
         """Cancel a job; returns ``False`` when it is already terminal.
 
-        Queued jobs die immediately; a running process-mode job has its
-        worker killed (replaced outside the respawn budget); a running
-        thread-mode job is flagged and aborts at its next stage
-        boundary via the guard hook.
+        The job ends ``cancelled`` at once.  A queued job never starts.
+        A running one is cancelled on the pool: its worker process is
+        killed (and replaced outside the respawn budget), or its
+        in-process run stops at the next stage boundary.
         """
-        with self._pool_lock:
-            with self._cond:
-                job = self._jobs.get(job_id)
-                if job is None:
-                    raise KeyError(job_id)
-                if job.state in TERMINAL_STATES:
-                    return False
-                job.cancel_event.set()
-                if job.state == "queued":
-                    self._finish(job, "cancelled", error="cancelled")
-                    return True
-                pool, idx = self._pool, job.idx
-            if pool is not None and idx is not None:
-                if pool.cancel_stream(idx):
-                    with self._cond:
-                        self._idx_jobs.pop(idx, None)
-                        if job.state == "running":
-                            self._finish(job, "cancelled",
-                                         error="cancelled")
+        with self._cond:
+            job = self._jobs.get(job_id)
+            if job is None:
+                raise KeyError(job_id)
+            if job.state in TERMINAL_STATES:
+                return False
+            pool, idx = self._pool, job.idx
+            if idx is not None:
+                self._idx_jobs.pop(idx, None)
+            self._finish(job, "cancelled", error="cancelled")
+        if pool is not None and idx is not None:
+            pool.cancel_stream(idx)
         return True
 
     def stats(self) -> dict[str, Any]:
@@ -381,7 +387,7 @@ class Scheduler:
         return len(leftover)
 
     def stop(self) -> None:
-        """Tear the executor down (workers, pump thread)."""
+        """Tear the executor down (pump thread, then the pool)."""
         with self._cond:
             self._stopped = True
             self._draining = True
@@ -389,44 +395,47 @@ class Scheduler:
         pump = self._pump_thread
         if pump is not None:
             pump.join(timeout=5.0)
-        with self._pool_lock:
-            pool = self._pool
-            self._pool = None
+        with self._cond:
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.stop_stream()
-        for thread in self._threads:
-            thread.join(timeout=2.0)
         self.mode = "stopped"
 
     # ------------------------------------------------------------------
-    # process executor (supervised pool, stream mode)
+    # the executor (one supervised pool stream)
     # ------------------------------------------------------------------
     def _pump_loop(self) -> None:
+        pool = self._pool
+        slots = max(1, self.workers)
         while True:
-            with self._pool_lock:
-                pool = self._pool
-                if pool is None or self.mode != "process":
+            batch: list[tuple[int, tuple]] = []
+            with self._cond:
+                if self._stopped:
                     return
-                to_submit: list[tuple[int, tuple]] = []
+                # Hand the pool only what it can start, so "running"
+                # means running and queued jobs stay cancellable here.
+                while self._queue and len(self._idx_jobs) < slots:
+                    job = self._jobs[self._queue.popleft()]
+                    if job.state != "queued":
+                        continue
+                    job.idx = self._next_idx
+                    self._next_idx += 1
+                    self._idx_jobs[job.idx] = job.id
+                    self._mark_running(job)
+                    batch.append((job.idx, (job.spec.kind,
+                                            dict(job.spec.params),
+                                            job.use_journal)))
+            for idx, task in batch:
+                pool.submit_stream(idx, task)
+            if batch:
+                # A cancel that landed before its submission found no
+                # task to stop; stop it now.
                 with self._cond:
-                    if self._stopped:
-                        return
-                    while self._queue:
-                        job_id = self._queue.popleft()
-                        job = self._jobs[job_id]
-                        if job.state != "queued":
-                            continue
-                        idx = self._next_idx
-                        self._next_idx += 1
-                        job.idx = idx
-                        self._idx_jobs[idx] = job.id
-                        self._mark_running(job)
-                        to_submit.append(
-                            (idx, (job.spec.kind, dict(job.spec.params),
-                                   job.use_journal)))
-                for idx, task in to_submit:
-                    pool.submit_stream(idx, task)
-                pool.pump(block=True)
+                    gone = [idx for idx, _ in batch
+                            if idx not in self._idx_jobs]
+                for idx in gone:
+                    pool.cancel_stream(idx)
+            pool.pump(block=True)
 
     def _pool_job(self, idx: int) -> Job | None:
         job_id = self._idx_jobs.pop(idx, None)
@@ -443,29 +452,16 @@ class Scheduler:
                 self._finish(job, "failed",
                              error=str(value.get("error", "job failed")))
 
-    def _on_pool_failure(self, idx: int, info: Mapping[str, str]) -> None:
+    def _on_pool_failure(self, idx: int, info: Mapping[str, Any]) -> None:
         kind = info.get("error", "failed")
+        detail = info.get("detail", "")
         with self._cond:
             job = self._pool_job(idx)
             if job is None or job.state in TERMINAL_STATES:
                 return
-            if kind == "degraded":
-                # The pool is gone for good; requeue onto in-process
-                # worker threads so the server keeps answering.
-                job.state = "queued"
-                job.idx = None
-                self._queue.append(job.id)
-                self._append_event(job, {"kind": "requeued",
-                                         "reason": "pool degraded"})
-                if not any(t.is_alive() for t in self._threads):
-                    self._start_threads("thread-degraded")
-                self._cond.notify_all()
-                return
-            if kind == "cancelled":
-                self._finish(job, "cancelled", error="cancelled")
-                return
-            detail = info.get("detail", "")
-            self._finish(job, "failed",
+            # An overrun deadline is the server cancelling the job.
+            self._finish(job, "cancelled" if kind == "timed_out"
+                         else "failed",
                          error=f"{kind}: {detail}" if detail else kind)
 
     def _on_pool_event(self, idx: int, payload: Any) -> None:
@@ -475,55 +471,6 @@ class Scheduler:
             if job is None or not isinstance(payload, dict):
                 return
             self._append_event(job, dict(payload))
-
-    # ------------------------------------------------------------------
-    # thread executor (in-process, shared store)
-    # ------------------------------------------------------------------
-    def _thread_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._stopped:
-                    self._cond.wait(0.5)
-                if self._stopped:
-                    return
-                job = self._jobs[self._queue.popleft()]
-                if job.state != "queued":
-                    continue
-                self._mark_running(job)
-            self._run_threaded(job)
-
-    def _run_threaded(self, job: Job) -> None:
-        deadline = (time.monotonic() + self.job_timeout
-                    if self.job_timeout is not None else None)
-
-        def guard(stage: str) -> None:
-            if job.cancel_event.is_set():
-                raise JobCancelled(f"job {job.id} cancelled before "
-                                   f"stage {stage!r}")
-            if deadline is not None and time.monotonic() > deadline:
-                raise JobCancelled(f"job {job.id} exceeded its "
-                                   f"{self.job_timeout:.1f}s deadline "
-                                   f"before stage {stage!r}")
-
-        tracer = Tracer(f"job:{job.spec.kind}",
-                        on_close=lambda span: self._on_span(job, span))
-        try:
-            payload = run_job(job.spec, store=self.store, tracer=tracer,
-                              guard=guard, use_journal=job.use_journal)
-        except JobCancelled as exc:
-            with self._cond:
-                self._finish(job, "cancelled", error=str(exc))
-        except Exception as exc:  # noqa: BLE001 - the server must survive
-            with self._cond:
-                self._finish(job, "failed",
-                             error=f"{type(exc).__name__}: {exc}")
-        else:
-            with self._cond:
-                self._finish(job, "done", payload=payload)
-
-    def _on_span(self, job: Job, span) -> None:
-        with self._cond:
-            self._append_event(job, span_event(span))
 
     # ------------------------------------------------------------------
     # shared internals (always called with _cond held)

@@ -70,8 +70,9 @@ class StageRunner:
         Optional callable invoked with the stage name before any stage
         work (fingerprinting, probe or compute).  Cancellation hook for
         long-lived callers — ``repro serve`` passes a guard that raises
-        when the job owning this runner has been cancelled, so a flow
-        stops at the next stage boundary instead of running to the end.
+        when the job owning this runner has been cancelled or has
+        overrun its deadline, so a flow stops at the next stage
+        boundary instead of running to the end.
     """
 
     def __init__(self, store: ArtifactStore | None,

@@ -7,6 +7,7 @@ import pytest
 
 from repro.exec import (
     CHAOS_ENV,
+    PoolError,
     SupervisedPool,
     TaskPickleError,
 )
@@ -36,6 +37,17 @@ class _SleepSession:
 
     def run(self, payload):
         time.sleep(payload)
+        return payload
+
+
+class _RaisingSession:
+    """Session whose task ``3`` raises."""
+
+    meta = {"kind": "raising"}
+
+    def run(self, payload):
+        if payload == 3:
+            raise ValueError(f"bad payload {payload}")
         return payload
 
 
@@ -166,6 +178,16 @@ class TestDeadlines:
 
 
 class TestFailureModes:
+    @pytest.mark.parametrize("jobs, error", [(1, ValueError), (2, PoolError)])
+    def test_raising_task_fails_the_run(self, jobs, error):
+        # In-process the task's own exception (and traceback) escapes;
+        # from a worker only its text can, wrapped in PoolError.
+        pool = SupervisedPool(_RaisingSession, jobs=jobs)
+        with pytest.raises(error, match="bad payload 3") as excinfo:
+            pool.run([1, 2, 3, 4])
+        assert excinfo.type is error
+        assert _no_children()
+
     def test_unpicklable_factory_under_spawn(self):
         pool = SupervisedPool(lambda: _SquareSession(), jobs=2,
                               start_method="spawn")

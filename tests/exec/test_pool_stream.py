@@ -7,6 +7,10 @@ task becomes a reported failure instead of killing the pool, and
 worker-side sessions stream progress events while a task runs.
 """
 
+import collections
+import multiprocessing
+import sys
+import threading
 import time
 
 import pytest
@@ -69,9 +73,9 @@ def pump_until(pool, predicate, timeout_s=30.0):
 def stream():
     pool = SupervisedPool(EchoSession, jobs=2)
     sink = Collector()
-    assert pool.start_stream(on_result=sink.on_result,
-                             on_failure=sink.on_failure,
-                             on_event=sink.on_event)
+    pool.start_stream(on_result=sink.on_result,
+                      on_failure=sink.on_failure,
+                      on_event=sink.on_event)
     yield pool, sink
     pool.stop_stream()
 
@@ -149,11 +153,26 @@ class TestStreamCancel:
 
 
 class TestStreamSetup:
-    def test_single_job_pool_refuses_stream(self):
+    def test_single_job_stream_runs_in_process(self):
         pool = SupervisedPool(EchoSession, jobs=1)
         sink = Collector()
-        assert not pool.start_stream(on_result=sink.on_result,
-                                     on_failure=sink.on_failure)
+        pool.start_stream(on_result=sink.on_result,
+                          on_failure=sink.on_failure,
+                          on_event=sink.on_event)
+        try:
+            pool.submit_stream(0, ("event", 5))
+            pool.submit_stream(1, ("boom", 7))
+            pool.submit_stream(2, ("echo", 1))
+            pump_until(pool, lambda: len(sink.results) == 2
+                       and 1 in sink.failures)
+            assert sink.results == {0: 10, 2: 2}
+            assert sink.events == [(0, {"progress": 5})]
+            assert sink.failures[1]["error"] == "task_error"
+            assert "bad task 7" in sink.failures[1]["detail"]
+            assert pool.stats["inline_tasks"] == 2
+            assert multiprocessing.active_children() == []
+        finally:
+            pool.stop_stream()
 
     def test_submit_outside_stream_raises(self):
         from repro.exec.pool import PoolError
@@ -165,8 +184,57 @@ class TestStreamSetup:
     def test_stop_stream_idempotent(self):
         pool = SupervisedPool(EchoSession, jobs=2)
         sink = Collector()
-        assert pool.start_stream(on_result=sink.on_result,
-                                 on_failure=sink.on_failure)
+        pool.start_stream(on_result=sink.on_result,
+                          on_failure=sink.on_failure)
         pool.stop_stream()
         pool.stop_stream()  # second stop is a no-op
         assert pool._workers == {}
+
+
+class TestStreamThreads:
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_concurrent_submit_and_cancel_resolve_each_index_once(
+            self, jobs):
+        # Four client threads (more than the cores) submit and cancel
+        # while this thread pumps: every index must end exactly once,
+        # as a callback or as a successful cancel, never both.
+        pool = SupervisedPool(EchoSession, jobs=jobs)
+        delivered = collections.Counter()
+        cancelled = []
+
+        def record(idx, _value):
+            delivered[idx] += 1  # callbacks fire on the pumping thread
+
+        def client(base):
+            for k in range(base, base + 30, 3):
+                pool.submit_stream(k, ("sleep", 0.03))
+                pool.submit_stream(k + 1, ("echo", k))
+                pool.submit_stream(k + 2, ("sleep", 0.001))
+                time.sleep(0.01)  # long enough for k to be running
+                if pool.cancel_stream(k):
+                    cancelled.append(k)
+
+        pool.start_stream(on_result=record, on_failure=record)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client, args=(100 * n,))
+                       for n in range(4)]
+            for thread in clients:
+                thread.start()
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                busy = any(thread.is_alive() for thread in clients)
+                if not pool.pump(block=True) and not busy:
+                    break
+            for thread in clients:
+                thread.join(5.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            pool.stop_stream()
+        submitted = {100 * n + k for n in range(4) for k in range(30)}
+        assert set(delivered) | set(cancelled) == submitted
+        assert not set(delivered) & set(cancelled)
+        assert set(delivered.values()) == {1}
+        assert multiprocessing.active_children() == []

@@ -6,10 +6,10 @@ import pytest
 
 from repro.cli import build_parser
 from repro.dse.evaluate import POINT_ERRORS
+from repro.exec import DeadlineExceeded, TaskCancelled
 from repro.serve.jobs import (
     JOB_KINDS,
     JOB_PARAMS,
-    JobCancelled,
     JobError,
     make_spec,
     render_result,
@@ -88,9 +88,11 @@ class TestRendering:
             json.dumps(payload, indent=2) + "\n"
 
     def test_cancellation_is_not_a_recoverable_point_error(self):
-        # A cancelled dse job must unwind the whole exploration, not be
-        # recorded as one failed design point and carry on.
-        assert not issubclass(JobCancelled, POINT_ERRORS)
+        # A cancelled or timed-out dse job must unwind the whole
+        # exploration, not be recorded as one failed design point and
+        # carry on.  These are what the in-process guard raises.
+        assert not issubclass(TaskCancelled, POINT_ERRORS)
+        assert not issubclass(DeadlineExceeded, POINT_ERRORS)
 
 
 class TestRunJob:
