@@ -251,18 +251,20 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.eval import run_netlist_analysis
+    from repro.eval import netlist_analysis_document, run_netlist_analysis
     from repro.serve.jobs import default_design, render_result
-    from repro.store import serialize_testability
 
     design = (_load_design(args.design) if args.design
               else default_design())
     store = _open_store(args)
-    circuit, analysis = run_netlist_analysis(design, store=store)
     if args.format == "json":
-        rendered = render_result(
-            "analyze", serialize_testability(analysis, circuit))
+        # The stored document is the report: a warm run loads no netlist.
+        doc = netlist_analysis_document(design, store=store)
+        rendered = render_result("analyze", doc)
+        findings = doc["diagnostics"]
     else:
+        _, analysis = run_netlist_analysis(design, store=store)
+        findings = analysis.diagnostics
         summary = analysis.summary()
         lines = [
             f"netlist analysis: {summary['design']}",
@@ -284,7 +286,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         print(rendered, end="")
     _report_cache(store)
-    if args.strict and analysis.diagnostics:
+    if args.strict and findings:
         return 1
     return 0
 

@@ -180,8 +180,7 @@ class PointEvaluator:
     def _evaluate(self, ordered: dict[str, Any]) -> dict:
         hardening = self.space.hardening(ordered)
         module = self.space.factory(**self.space.params(ordered))
-        _, _, opt_outcome = netlist_prefix(module, self.runner,
-                                           lazy_opt=True)
+        _, _, opt_outcome = netlist_prefix(module, self.runner)
         if hardening == "none":
             hardened_outcome = opt_outcome
         else:
@@ -190,7 +189,6 @@ class PointEvaluator:
                 compute=lambda: harden_circuit(opt_outcome.value(),
                                                hardening),
                 dump=serialize_circuit, load=deserialize_circuit,
-                lazy=True,
             )
         return self.runner.run(
             "dse_point", (hardened_outcome.digest, self._spec_fp),

@@ -13,6 +13,7 @@ from repro.eval.equivalence import (
 )
 from repro.eval.flows import (
     FlowResult,
+    netlist_analysis_document,
     netlist_prefix,
     run_netlist_analysis,
     run_osss_flow,
@@ -43,6 +44,7 @@ __all__ = [
     "measure_source",
     "measure_stage",
     "module_inventory",
+    "netlist_analysis_document",
     "netlist_prefix",
     "run_netlist_analysis",
     "run_osss_flow",

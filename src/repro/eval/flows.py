@@ -14,10 +14,14 @@ Both runners accept an :class:`~repro.store.ArtifactStore` (``store=``):
 each stage is then memoized through the design library — its inputs are
 fingerprinted, cached artifacts are replayed instead of recomputed, and
 downstream stage keys chain on upstream artifact digests, so a warm
-rebuild of an unchanged design skips every stage.  Cached or not, the
-same spans open in the same order (with ``cache=hit/miss/off``
-annotations) and the resulting :class:`FlowResult` is equivalent;
-summaries are byte-identical across cold, warm and cache-disabled runs.
+rebuild of an unchanged design skips every stage.  Every hit is lazy,
+and each flow stores its summary row as a stage of its own, so a warm
+build reads that row and the analyzer and lint findings, and leaves
+netlists, timing reports and placements on disk until something asks
+for them.  Cached or not, the same spans open in the same order (with
+``cache=hit/miss/off`` annotations) and the resulting
+:class:`FlowResult` is equivalent; summaries are byte-identical across
+cold, warm and cache-disabled runs.
 """
 
 from __future__ import annotations
@@ -37,15 +41,18 @@ from repro.netlist.area import AreaReport, total_area
 from repro.netlist.circuit import Circuit
 from repro.netlist.linker import link
 from repro.netlist.opt import optimize
-from repro.netlist.pnr import Placement, place
+from repro.netlist.pnr import place
 from repro.netlist.sta import TimingReport, analyze
 from repro.netlist.techmap import map_module
 from repro.obs.profiler import NULL_TRACER, Tracer
 from repro.rtl.ir import RtlModule
 from repro.rtl.lint import lint_module
 from repro.store import (
+    TESTABILITY_SCHEMA,
     ArtifactStore,
+    StageOutcome,
     StageRunner,
+    StoreError,
     deserialize_circuit,
     deserialize_diagnostics,
     deserialize_placement,
@@ -66,21 +73,37 @@ from repro.store import (
 from repro.synth.modulegen import synthesize
 
 
-class FlowResult:
-    """Everything one flow produced for one design."""
+#: The columns of a flow's summary row, in order.
+_SUMMARY_FIELDS = ("flow", "area_ge", "cells", "flops", "fmax_mhz",
+                  "fmax_routed_mhz", "critical_ns")
 
-    def __init__(self, name: str, rtl: RtlModule, circuit: Circuit,
-                 timing: TimingReport, placement: Placement,
-                 timing_routed: TimingReport,
+
+def _artifact(key: str, doc: str) -> property:
+    return property(lambda self: self._stages[key].value(), doc=doc)
+
+
+class FlowResult:
+    """Everything one flow produced for one design.
+
+    Holds the flow's stage outcomes: each artifact loads on first
+    access, and :meth:`summary` is the stored ``summary`` row.  So a
+    caller that reads only the summary and :attr:`diagnostics` never
+    loads a netlist, timing report or placement from a warm store.
+    """
+
+    def __init__(self, name: str, stages: dict[str, StageOutcome],
                  diagnostics: list[Diagnostic] | None = None) -> None:
         self.name = name
-        self.rtl = rtl
-        self.circuit = circuit
-        self.timing = timing
-        self.placement = placement
-        self.timing_routed = timing_routed
+        self._stages = stages
         #: Analyzer findings plus RTL lint warnings gathered by the flow.
         self.diagnostics: list[Diagnostic] = list(diagnostics or [])
+
+    rtl = _artifact("rtl", "The RTL the flow mapped to gates.")
+    circuit = _artifact("circuit", "The optimized netlist.")
+    timing = _artifact("timing", "Pre-placement timing report.")
+    placement = _artifact("placement", "The netlist's placement.")
+    timing_routed = _artifact("timing_routed",
+                              "Timing report with placed wire delays.")
 
     @property
     def area(self) -> float:
@@ -102,58 +125,82 @@ class FlowResult:
         return AreaReport(self.circuit, depth)
 
     def summary(self) -> dict[str, Any]:
-        """Flat record for tables."""
-        return {
-            "flow": self.name,
-            "area_ge": round(self.area, 1),
-            "cells": self.cells,
-            "flops": len(self.circuit.flops()),
-            "fmax_mhz": round(self.timing.fmax_mhz, 1),
-            "fmax_routed_mhz": round(self.fmax_mhz, 1),
-            "critical_ns": round(self.timing_routed.critical_path_ns, 3),
-        }
+        """Flat record for tables: the stored ``summary`` row."""
+        return dict(self._stages["summary"].value())
 
     def __repr__(self) -> str:
         return (f"FlowResult({self.name!r}, area={self.area:.0f}GE, "
                 f"fmax={self.fmax_mhz:.0f}MHz)")
 
 
-def _finish(name: str, rtl: RtlModule, pre_outcome,
+def _summary_row(name: str, circuit: Circuit, timing: TimingReport,
+                 timing_routed: TimingReport) -> dict[str, Any]:
+    return {
+        "flow": name,
+        "area_ge": round(total_area(circuit), 1),
+        "cells": len(circuit.cells),
+        "flops": len(circuit.flops()),
+        "fmax_mhz": round(timing.fmax_mhz, 1),
+        "fmax_routed_mhz": round(timing_routed.fmax_mhz, 1),
+        "critical_ns": round(timing_routed.critical_path_ns, 3),
+    }
+
+
+def _load_summary(doc: Any) -> dict[str, Any]:
+    if not isinstance(doc, dict) or tuple(doc) != _SUMMARY_FIELDS:
+        raise StoreError("expected a flow summary row")
+    return doc
+
+
+def _finish(name: str, rtl_outcome: StageOutcome, pre_outcome: StageOutcome,
             diagnostics: list[Diagnostic] | None,
             runner: StageRunner) -> FlowResult:
-    """The shared back end: opt → sta → pnr → sta_routed, memoized.
+    """The shared back end: opt → sta → pnr → sta_routed → summary.
 
     *pre_outcome* holds the pre-optimization circuit (techmap or link
-    output), possibly still unloaded: on a fully warm run only its
-    digest is touched and the large pre-opt netlist never leaves disk.
+    output).  Each stage keys on upstream digests and loads upstream
+    artifacts only inside its compute, so a fully warm run loads the
+    ``summary`` row and nothing else.
     """
-    opt_outcome = runner.run(
+    opt = runner.run(
         "opt", (pre_outcome.digest,),
         compute=lambda: _optimized(pre_outcome.value()),
         dump=serialize_circuit, load=deserialize_circuit,
     )
-    circuit = opt_outcome.value()
-    timing = runner.run(
-        "sta", (opt_outcome.digest,),
-        compute=lambda: analyze(circuit),
-        dump=lambda t: serialize_timing(t, circuit),
-        load=lambda doc: deserialize_timing(doc, circuit),
-    ).value()
-    pnr_outcome = runner.run(
-        "pnr", (opt_outcome.digest,),
-        compute=lambda: place(circuit),
-        dump=serialize_placement,
-        load=lambda doc: deserialize_placement(doc, circuit),
+    circuit = opt.value
+    sta = runner.run(
+        "sta", (opt.digest,),
+        compute=lambda: analyze(circuit()),
+        dump=lambda t: serialize_timing(t, circuit()),
+        load=lambda doc: deserialize_timing(doc, circuit()),
     )
-    placement = pnr_outcome.value()
-    timing_routed = runner.run(
-        "sta_routed", (opt_outcome.digest, pnr_outcome.digest),
-        compute=lambda: analyze(circuit, placement.wire_delays()),
-        dump=lambda t: serialize_timing(t, circuit),
-        load=lambda doc: deserialize_timing(doc, circuit),
-    ).value()
-    return FlowResult(name, rtl, circuit, timing, placement, timing_routed,
-                      diagnostics)
+    pnr = runner.run(
+        "pnr", (opt.digest,),
+        compute=lambda: place(circuit()),
+        dump=serialize_placement,
+        load=lambda doc: deserialize_placement(doc, circuit()),
+    )
+    sta_routed = runner.run(
+        "sta_routed", (opt.digest, pnr.digest),
+        compute=lambda: analyze(circuit(), pnr.value().wire_delays()),
+        dump=lambda t: serialize_timing(t, circuit()),
+        load=lambda doc: deserialize_timing(doc, circuit()),
+    )
+    summary = runner.run(
+        "summary", (opt.digest, sta.digest, sta_routed.digest, name),
+        compute=lambda: _summary_row(name, circuit(), sta.value(),
+                                     sta_routed.value()),
+        dump=lambda row: row, load=_load_summary,
+    )
+    return FlowResult(name, {
+        "rtl": rtl_outcome, "circuit": opt, "timing": sta,
+        "placement": pnr, "timing_routed": sta_routed, "summary": summary,
+    }, diagnostics)
+
+
+def _annotate(flow_span, result: FlowResult) -> None:
+    row = result.summary()
+    flow_span.annotate(cells=row["cells"], area_ge=row["area_ge"])
 
 
 def _optimized(circuit: Circuit) -> Circuit:
@@ -173,8 +220,8 @@ def run_osss_flow(module: Module, name: str = "osss",
     them; its warnings ride along on :attr:`FlowResult.diagnostics`.
 
     With a :class:`~repro.obs.profiler.Tracer`, every stage (analyze →
-    synthesize → lint → techmap → opt → sta → pnr → sta_routed) is
-    recorded as a span under one ``flow:<name>`` root.
+    synthesize → lint → techmap → opt → sta → pnr → sta_routed →
+    summary) is recorded as a span under one ``flow:<name>`` root.
 
     With a *store*, stages are memoized through the design library: the
     live module hierarchy is fingerprinted, and any stage whose inputs
@@ -204,27 +251,25 @@ def run_osss_flow(module: Module, name: str = "osss",
             compute=lambda: synthesize(module, observe_children=False),
             dump=serialize_rtl, load=deserialize_rtl,
         )
-        rtl = synth_outcome.value()
+        rtl = synth_outcome.value
         diagnostics = diagnostics + runner.run(
             "lint", (synth_outcome.digest, name),
-            compute=lambda: diagnostics_from_lint_report(lint_module(rtl),
+            compute=lambda: diagnostics_from_lint_report(lint_module(rtl()),
                                                          name),
             dump=serialize_diagnostics, load=deserialize_diagnostics,
         ).value()
         techmap_outcome = runner.run(
             "techmap", (synth_outcome.digest,),
-            compute=lambda: map_module(rtl),
+            compute=lambda: map_module(rtl()),
             dump=serialize_circuit, load=deserialize_circuit,
-            lazy=True,
         )
-        result = _finish(name, rtl, techmap_outcome, diagnostics, runner)
-        flow_span.annotate(cells=result.cells,
-                           area_ge=round(result.area, 1))
+        result = _finish(name, synth_outcome, techmap_outcome, diagnostics,
+                         runner)
+        _annotate(flow_span, result)
     return result
 
 
-def netlist_prefix(module: Module, runner: StageRunner,
-                   lazy_opt: bool = False):
+def netlist_prefix(module: Module, runner: StageRunner):
     """The memoized synthesize → techmap → opt prefix, reentrant.
 
     Shared by :func:`run_netlist_analysis` and the design-space
@@ -232,9 +277,9 @@ def netlist_prefix(module: Module, runner: StageRunner,
     run under the *same* names and keys as :func:`run_osss_flow`, so a
     prior ``repro build`` leaves them warm and any number of callers
     may re-enter them against one store.  Returns the ``(synthesize,
-    techmap, opt)`` :class:`~repro.store.StageOutcome` triple; with
-    ``lazy_opt`` a warm ``opt`` entry yields only its digest, and the
-    optimized netlist never leaves disk unless ``.value()`` is called.
+    techmap, opt)`` :class:`~repro.store.StageOutcome` triple; a warm
+    entry yields only its digest, and its artifact never leaves disk
+    unless ``.value()`` is called.
     """
     design_fp = (fingerprint_design(module)
                  if runner.store is not None else "")
@@ -247,45 +292,89 @@ def netlist_prefix(module: Module, runner: StageRunner,
         "techmap", (synth_outcome.digest,),
         compute=lambda: map_module(synth_outcome.value()),
         dump=serialize_circuit, load=deserialize_circuit,
-        lazy=True,
     )
     opt_outcome = runner.run(
         "opt", (techmap_outcome.digest,),
         compute=lambda: _optimized(techmap_outcome.value()),
         dump=serialize_circuit, load=deserialize_circuit,
-        lazy=lazy_opt,
     )
     return synth_outcome, techmap_outcome, opt_outcome
 
 
-def run_netlist_analysis(module: Module, name: str = "osss",
-                         tracer: Tracer | None = None,
-                         store: ArtifactStore | None = None,
-                         guard=None) -> tuple[Circuit, NetlistAnalysis]:
+def _testability(module: Module, runner: StageRunner,
+                 against_netlist: bool) -> tuple[StageOutcome, dict]:
+    """The prefix plus the ``testability`` stage, whose value is the
+    serialized document: returns ``(opt outcome, document)``.
+
+    Loading a stored document checks its shape.  *against_netlist* also
+    rebuilds it against the netlist, so a document whose net references
+    the netlist rejects recomputes like a corrupt object.
+    """
+    _, _, opt_outcome = netlist_prefix(module, runner)
+    circuit = opt_outcome.value
+
+    def load(doc: Any) -> dict:
+        _check_testability(doc)
+        if against_netlist:
+            deserialize_testability(doc, circuit())
+        return doc
+
+    doc = runner.run(
+        "testability", (opt_outcome.digest,),
+        compute=lambda: serialize_testability(analyze_circuit(circuit()),
+                                              circuit()),
+        dump=lambda doc: doc, load=load,
+    ).value()
+    return opt_outcome, doc
+
+
+#: The fields of a ``repro-testability/v1`` document and their types.
+_TESTABILITY_FIELDS = {"schema": str, "design": str, "scores": list,
+                       "equivalence": list, "dominance": list,
+                       "diagnostics": list}
+
+
+def _check_testability(doc: Any) -> None:
+    if (not isinstance(doc, dict)
+            or doc.get("schema") != TESTABILITY_SCHEMA
+            or any(not isinstance(doc.get(field), kind)
+                   for field, kind in _TESTABILITY_FIELDS.items())):
+        raise StoreError(f"expected a {TESTABILITY_SCHEMA} document")
+
+
+def run_netlist_analysis(module: Module, store: ArtifactStore | None = None
+                         ) -> tuple[Circuit, NetlistAnalysis]:
     """OSSS source → optimized gates → structural testability analysis.
 
-    The backbone of ``repro analyze``: the synthesize → techmap → opt
-    prefix runs through the *same* memoized stages (same stage names,
-    same keys) as :func:`run_osss_flow`, so a prior ``repro build``
-    leaves them warm, and a new ``testability`` stage caches the
-    SCOAP/collapse/lint analysis keyed on the optimized netlist's
-    digest.  STA and placement are skipped — structural analysis does
-    not need them.
+    The synthesize → techmap → opt prefix runs through the *same*
+    memoized stages (same stage names, same keys) as
+    :func:`run_osss_flow`, so a prior ``repro build`` leaves them warm,
+    and a ``testability`` stage caches the SCOAP/collapse/lint analysis
+    document keyed on the optimized netlist's digest; the analysis is
+    rebuilt from it against the netlist.  STA and placement are skipped
+    — structural analysis does not need them.
+    """
+    opt_outcome, doc = _testability(module, StageRunner(store),
+                                    against_netlist=True)
+    circuit = opt_outcome.value()
+    return circuit, deserialize_testability(doc, circuit)
+
+
+def netlist_analysis_document(module: Module,
+                              tracer: Tracer | None = None,
+                              store: ArtifactStore | None = None,
+                              guard=None) -> dict:
+    """:func:`run_netlist_analysis`'s ``repro-testability/v1`` document.
+
+    The backbone of ``repro analyze --format json`` and served
+    ``analyze`` jobs: the same stages, but the stored document is the
+    result, so a warm run reads it and never loads the netlist.
     """
     runner = StageRunner(store, tracer or NULL_TRACER, guard=guard)
-    tracer = runner.tracer
-    with tracer.span(f"analyze:{name}") as span:
-        _, _, opt_outcome = netlist_prefix(module, runner)
-        circuit = opt_outcome.value()
-        analysis = runner.run(
-            "testability", (opt_outcome.digest,),
-            compute=lambda: analyze_circuit(circuit),
-            dump=lambda a: serialize_testability(a, circuit),
-            load=lambda doc: deserialize_testability(doc, circuit),
-        ).value()
-        span.annotate(nets=len(circuit.nets),
-                      diagnostics=len(analysis.diagnostics))
-    return circuit, analysis
+    with runner.tracer.span("analyze:osss") as span:
+        _, doc = _testability(module, runner, against_netlist=False)
+        span.annotate(diagnostics=len(doc["diagnostics"]))
+    return doc
 
 
 def _uses_blackboxes(rtl: RtlModule) -> bool:
@@ -318,7 +407,6 @@ def run_rtl(rtl: RtlModule, name: str = "rtl",
             "techmap", (rtl_fp,),
             compute=lambda: map_module(rtl),
             dump=serialize_circuit, load=deserialize_circuit,
-            lazy=True,
         )
         pre_outcome = techmap_outcome
         if _uses_blackboxes(rtl):
@@ -350,11 +438,11 @@ def run_rtl(rtl: RtlModule, name: str = "rtl",
                 "link", link_parts,
                 compute=lambda: _linked(techmap_outcome, ips()),
                 dump=serialize_circuit, load=deserialize_circuit,
-                lazy=True,
             )
-        result = _finish(name, rtl, pre_outcome, diagnostics, runner)
-        flow_span.annotate(cells=result.cells,
-                           area_ge=round(result.area, 1))
+        live_rtl = StageOutcome("rtl", hit=False, digest=None, value=rtl,
+                                loaded=True)
+        result = _finish(name, live_rtl, pre_outcome, diagnostics, runner)
+        _annotate(flow_span, result)
     return result
 
 

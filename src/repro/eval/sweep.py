@@ -19,6 +19,9 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.eval.flows import FlowResult
 
+#: The flow summary columns a sweep row carries.
+_ROW_FIELDS = ("area_ge", "cells", "flops", "fmax_mhz")
+
 
 def _flow_errors() -> tuple[type[Exception], ...]:
     """The exception types a sweep records instead of propagating."""
@@ -45,19 +48,16 @@ class SweepPoint:
         return self.error is None
 
     def row(self) -> dict[str, Any]:
-        """Flat record for tables."""
+        """Flat record for tables: the parameters plus four columns of
+        the flow's stored summary row."""
         record: dict[str, Any] = dict(self.params)
         if self.result is None:
             record.update({
                 "error": f"{type(self.error).__name__}: {self.error}",
             })
             return record
-        record.update({
-            "area_ge": round(self.result.area, 1),
-            "cells": self.result.cells,
-            "flops": len(self.result.circuit.flops()),
-            "fmax_mhz": round(self.result.timing.fmax_mhz, 1),
-        })
+        summary = self.result.summary()
+        record.update({field: summary[field] for field in _ROW_FIELDS})
         return record
 
     def __repr__(self) -> str:

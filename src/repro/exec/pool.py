@@ -84,7 +84,9 @@ CHAOS_ENV = "REPRO_CHAOS_KILL"
 #: Exit code of a chaos-killed worker (distinguishable in reap logs).
 _CHAOS_EXIT = 42
 
-_POLL_S = 0.02
+#: One supervision interval: how long a blocking :meth:`SupervisedPool
+#: .pump` waits for worker traffic.
+POLL_S = 0.02
 _JOIN_GRACE_S = 2.0
 
 
@@ -137,10 +139,10 @@ def _task_label(session: Any, idx: int, task: Any) -> str:
 def _wait(conns: list) -> None:
     """Wait up to one poll interval for traffic on *conns*."""
     if not conns:
-        time.sleep(_POLL_S)
+        time.sleep(POLL_S)
         return
     try:
-        multiprocessing.connection.wait(conns, _POLL_S)
+        multiprocessing.connection.wait(conns, POLL_S)
     except (OSError, ValueError):
         pass  # another thread's cancel closed one; the next poll sees why
 
@@ -417,7 +419,7 @@ class SupervisedPool:
             if self._current is not None:
                 self._run_current(session, task)
             elif block:
-                time.sleep(_POLL_S)
+                time.sleep(POLL_S)
             return len(self._tasks)
         if block:
             _wait(conns)

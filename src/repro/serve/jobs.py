@@ -8,7 +8,7 @@ against the kind's schema (:data:`JOB_PARAMS`, from which the one-shot
 and merges defaults; :func:`run_job` executes the spec.  ``repro
 build`` and ``repro dse`` run through :func:`run_job` itself; ``repro
 analyze`` and ``repro inject`` call the same functions
-(:func:`repro.eval.run_netlist_analysis`, :func:`repro.fault
+(:func:`repro.eval.netlist_analysis_document`, :func:`repro.fault
 .expocu_campaign`) directly, because they also take options a job does
 not (``--design``, ``--jobs``, deadlines, journals).  A job's rendered
 result is byte-identical to the corresponding ``repro build --json`` /
@@ -189,12 +189,10 @@ def run_job(spec: JobSpec,
         return {"flows": [result.summary() for result in results]}
 
     if spec.kind == "analyze":
-        from repro.eval import run_netlist_analysis
-        from repro.store import serialize_testability
+        from repro.eval import netlist_analysis_document
 
-        circuit, analysis = run_netlist_analysis(
-            default_design(), tracer=tracer, store=store, guard=guard)
-        return serialize_testability(analysis, circuit)
+        return netlist_analysis_document(default_design(), tracer=tracer,
+                                         store=store, guard=guard)
 
     if spec.kind == "inject":
         from repro.fault import expocu_campaign

@@ -41,7 +41,7 @@ from collections import deque
 from typing import Any, Callable, Mapping
 
 from repro.exec.deadline import DeadlineExceeded
-from repro.exec.pool import SupervisedPool, TaskCancelled
+from repro.exec.pool import POLL_S, SupervisedPool, TaskCancelled
 from repro.obs.profiler import Tracer
 from repro.store import ArtifactStore
 
@@ -410,6 +410,12 @@ class Scheduler:
         while True:
             batch: list[tuple[int, tuple]] = []
             with self._cond:
+                # Idle, wait on _cond (submit, cancel and stop notify
+                # it) rather than in the pool, so a new job starts at
+                # once; the pool is still pumped every interval.
+                idle = not self._queue and not self._idx_jobs
+                if idle:
+                    self._cond.wait(POLL_S)
                 if self._stopped:
                     return
                 # Hand the pool only what it can start, so "running"
@@ -435,7 +441,7 @@ class Scheduler:
                             if idx not in self._idx_jobs]
                 for idx in gone:
                     pool.cancel_stream(idx)
-            pool.pump(block=True)
+            pool.pump(block=not idle)
 
     def _pool_job(self, idx: int) -> Job | None:
         job_id = self._idx_jobs.pop(idx, None)

@@ -7,17 +7,19 @@ path runs inside an :mod:`repro.obs` span carrying ``cache="hit"`` /
 ``"miss"`` / ``"off"`` metadata, so traces show exactly which stages
 were skipped.
 
-Outcomes are **lazy** on a hit: :meth:`StageOutcome.value` deserializes
-the artifact only when somebody asks for it, while
-:attr:`StageOutcome.digest` is available immediately from the pointer.
-This is what makes warm runs fast — a warm ``opt`` stage keys off the
-``techmap`` artifact's *digest*, so the multi-megabyte pre-optimization
-netlist is never loaded at all.
+Every hit is **lazy**: :meth:`StageOutcome.value` loads and
+deserializes the artifact only when somebody asks for it, while
+:attr:`StageOutcome.digest` is available at once from the pointer.
+This is what makes warm runs fast — downstream keys chain on digests,
+so a warm build that reports only its stored summary rows never loads
+a netlist, timing report or placement at all.
 
 Corruption discovered at materialization time (bad bytes, a document
 the deserializer rejects) falls back to the retained compute thunk:
-the artifact is recomputed, re-stored, and the stage's ``corrupt``
-counter ticks.  A cache problem can cost time, never correctness.
+the artifact is recomputed in a ``cache="corrupt"`` span of the stage's
+name, re-stored, and the stage's ``corrupt`` counter ticks.  A cache
+problem can cost time, never correctness.  An artifact nothing loads
+is never checked on the way; ``ArtifactStore.verify`` rehashes them all.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ class StageRunner:
         An :mod:`repro.obs` tracer; stage spans open on it.
     guard:
         Optional callable invoked with the stage name before any stage
-        work (fingerprinting, probe or compute).  Cancellation hook for
+        work (fingerprinting, probe or compute), and again before a
+        corrupt hit is recomputed on load.  Cancellation hook for
         long-lived callers — ``repro serve`` passes a guard that raises
         when the job owning this runner has been cancelled or has
         overrun its deadline, so a flow stops at the next stage
@@ -89,7 +92,6 @@ class StageRunner:
         compute: Callable[[], Any],
         dump: Callable[[Any], Any],
         load: Callable[[Any], Any],
-        lazy: bool = False,
     ) -> StageOutcome:
         """Run *stage* memoized.
 
@@ -108,9 +110,10 @@ class StageRunner:
         dump / load:
             Serialize the live artifact to a JSON document / rebuild it.
             ``load`` raising :class:`StoreError` triggers recompute.
-        lazy:
-            On a hit, defer deserialization until ``.value()`` is
-            called (the digest is still available immediately).
+
+        A hit returns at once with the digest; the artifact loads on
+        the first ``.value()``.  A miss computes and stores inline, and
+        with no store every stage computes inline in call order.
 
         The stage span covers everything attributable to the stage:
         key fingerprinting, the store probe, compute *and* the
@@ -134,14 +137,11 @@ class StageRunner:
             if digest is not None:
                 self.store._count("hit", stage)
                 span.annotate(cache="hit")
-                outcome = StageOutcome(
+                return StageOutcome(
                     stage, hit=True, digest=digest,
                     materialize=lambda o: self._materialize(o, key, compute,
                                                             dump, load),
                 )
-                if not lazy:
-                    outcome.value()
-                return outcome
 
             self.store._count("miss", stage)
             value = compute()
@@ -162,8 +162,15 @@ class StageRunner:
                 self.store._discard(
                     self.store._object_path(outcome.digest))
         # Corrupt or vanished: graceful recompute, then heal the store.
+        # The load may come long after the stage ran, so the recompute
+        # opens a span of its own and is a cancellation point again.
         self.store._count("corrupt", outcome.stage)
-        value = compute()
-        outcome.digest = self.store.store(outcome.stage, key, dump(value))
+        if self.guard is not None:
+            self.guard(outcome.stage)
+        with self.tracer.span(outcome.stage) as span:
+            value = compute()
+            span.annotate(cache="corrupt")
+            outcome.digest = self.store.store(outcome.stage, key,
+                                              dump(value))
         outcome.hit = False
         return value

@@ -14,7 +14,7 @@ from repro.cli import main
 from repro.obs import validate_trace
 
 FLOW_STAGES = {"analyze", "synthesize", "lint", "techmap", "opt", "sta",
-               "pnr", "sta_routed", "link"}
+               "pnr", "sta_routed", "link", "summary"}
 
 
 def load(path) -> dict:

@@ -7,6 +7,7 @@ processes).  The ``run_job`` stubs are patched in before
 ``guard`` only when given one, because worker processes get none.
 """
 
+import statistics
 import time
 
 import pytest
@@ -129,6 +130,24 @@ class TestBothExecutors:
             pool = scheduler.stats()["pool"]
             assert pool["timeouts"] == 1
             assert pool["quarantined"] == 1
+        finally:
+            scheduler.stop()
+
+    def test_job_submitted_while_idle_starts_at_once(self, store, workers,
+                                                     monkeypatch):
+        # An idle pump thread must not sit out a pool poll interval
+        # (20 ms) before it starts a new job.
+        monkeypatch.setattr("repro.serve.scheduler.run_job", traced)
+        scheduler = started(store, workers)
+        try:
+            waits = []
+            for _ in range(8):
+                job, _ = scheduler.submit("build", {"flow": "osss"},
+                                          force=True)
+                done = scheduler.wait_result(job.id, wait_s=30.0)
+                assert done.state == "done"
+                waits.append(done.started_at - done.submitted_at)
+            assert statistics.median(waits) < 0.005, waits
         finally:
             scheduler.stop()
 

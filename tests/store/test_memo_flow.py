@@ -22,12 +22,14 @@ from repro.eval.flows import run_osss_flow, run_vhdl_flow
 from repro.eval.sweep import sweep
 from repro.store import ArtifactStore, canonical_json
 from tests.store.test_fingerprint import make_probe
+from tests.store.test_warm_reads import watch_loads
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 OSSS_STAGES = ("analyze", "synthesize", "lint", "techmap",
-               "opt", "sta", "pnr", "sta_routed")
-VHDL_STAGES = ("lint", "techmap", "link", "opt", "sta", "pnr", "sta_routed")
+               "opt", "sta", "pnr", "sta_routed", "summary")
+VHDL_STAGES = ("lint", "techmap", "link", "opt", "sta", "pnr", "sta_routed",
+               "summary")
 
 
 def reopen(store):
@@ -103,7 +105,8 @@ class TestVhdlMemoization:
 
 
 class TestSweepReuse:
-    def test_sweep_replays_entries_warmed_by_earlier_runs(self, tmp_path):
+    def test_sweep_replays_entries_warmed_by_earlier_runs(self, tmp_path,
+                                                          monkeypatch):
         store = ArtifactStore(tmp_path / "cache")
         run_osss_flow(make_probe(period=10), store=store)
 
@@ -116,10 +119,13 @@ class TestSweepReuse:
         assert store.counters["miss"]["synthesize"] == 1
 
         store = reopen(store)
+        loaded = watch_loads(monkeypatch)
         again = sweep(lambda period: make_probe(period=period),
                       [{"period": 10}, {"period": 20}], store=store)
         assert sum(store.counters["miss"].values()) == 0
         assert [p.row() for p in again] == [p.row() for p in points]
+        # A warm point's row is its stored summary row: no netlist loads.
+        assert "repro-netlist/v1" not in loaded
 
     def test_sweep_rejects_store_with_custom_flow(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
