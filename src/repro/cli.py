@@ -159,15 +159,17 @@ def _job_spec(kind: str, args: argparse.Namespace):
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     from repro.analyze import diagnostics_from_lint_report
+    from repro.eval.flows import gate_stages, synthesis_stage
     from repro.rtl.lint import lint_module
     from repro.serve.jobs import default_design
-    from repro.synth import synthesize
+    from repro.store import StageRunner
     from repro.synth.report import design_report
 
     tracer = args.tracer
+    runner = StageRunner(None, tracer)
     module = default_design()
-    with tracer.span("synthesize"):
-        rtl = synthesize(module, observe_children=False)
+    synthesized = synthesis_stage(module, runner)
+    rtl = synthesized.value()
     print(design_report(module, rtl))
     with tracer.span("lint"):
         lint_report = lint_module(rtl)
@@ -182,16 +184,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             handle.write(to_verilog(rtl))
         print(f"\nbehavioral Verilog written to {args.verilog}")
     if args.netlist:
-        from repro.netlist import map_module, optimize
         from repro.netlist.verilog import (
             netlist_stats_comment,
             to_structural_verilog,
         )
 
-        with tracer.span("techmap"):
-            circuit = map_module(rtl)
-        with tracer.span("opt"):
-            optimize(circuit)
+        circuit = gate_stages(synthesized, runner).value()
         with open(args.netlist, "w", encoding="utf-8") as handle:
             handle.write(netlist_stats_comment(circuit))
             handle.write(to_structural_verilog(circuit))

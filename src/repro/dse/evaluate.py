@@ -1,16 +1,16 @@
 """Per-point evaluation: memoized flow prefix + hardening + fault campaign.
 
-One design point costs three memoized stages beyond what ``repro build``
-already caches:
+One design point runs the build flow's memoized design-to-gates recipe
+plus one stage of its own:
 
-``synthesize`` → ``techmap`` → ``opt``
-    The exact stages (same names, same keys) of the build flow, entered
-    through :func:`repro.eval.flows.netlist_prefix` — a space whose
-    specializations were ever built replays them warm.
-``harden``
-    The netlist hardening pass, keyed on the optimized netlist's digest
-    plus the hardening mode.  ``none`` skips the stage entirely and
-    aliases the ``opt`` artifact.
+``synthesize`` → ``techmap`` → ``opt`` → ``harden``
+    The build flow's design-to-gates recipe (same names, same keys),
+    entered through :func:`repro.eval.flows.netlist_prefix` with the
+    point's hardening mode — a space whose specializations were ever
+    built replays them warm, and ``repro inject`` attacks the same
+    netlist.  ``harden`` is keyed on the optimized netlist's digest
+    plus the mode; ``none`` skips the stage entirely and aliases the
+    ``opt`` artifact.
 ``dse_point``
     STA + area + the seeded fault campaign, reduced to a small metrics /
     campaign / objectives document (``repro-dse-point/v1``) keyed on the
@@ -41,7 +41,6 @@ from repro.fault.campaign import (
     generate_fault_list,
     run_campaign,
 )
-from repro.fault.harden import harden_circuit
 from repro.fault.inject import FaultableGateSimulator, GateFaultInjector
 from repro.netlist import NetlistError
 from repro.netlist.area import total_area
@@ -51,10 +50,8 @@ from repro.obs.profiler import NULL_TRACER, Tracer
 from repro.store import (
     ArtifactStore,
     StageRunner,
-    deserialize_circuit,
     deserialize_dse_point,
     digest_doc,
-    serialize_circuit,
     serialize_dse_point,
 )
 from repro.synth import SynthesisError
@@ -180,20 +177,10 @@ class PointEvaluator:
     def _evaluate(self, ordered: dict[str, Any]) -> dict:
         hardening = self.space.hardening(ordered)
         module = self.space.factory(**self.space.params(ordered))
-        _, _, opt_outcome = netlist_prefix(module, self.runner)
-        if hardening == "none":
-            hardened_outcome = opt_outcome
-        else:
-            hardened_outcome = self.runner.run(
-                "harden", (opt_outcome.digest, hardening),
-                compute=lambda: harden_circuit(opt_outcome.value(),
-                                               hardening),
-                dump=serialize_circuit, load=deserialize_circuit,
-            )
+        netlist = netlist_prefix(module, self.runner, hardening)
         return self.runner.run(
-            "dse_point", (hardened_outcome.digest, self._spec_fp),
-            compute=lambda: self._measure(hardened_outcome.value(),
-                                          hardening),
+            "dse_point", (netlist.digest, self._spec_fp),
+            compute=lambda: self._measure(netlist.value(), hardening),
             dump=lambda doc: doc, load=deserialize_dse_point,
         ).value()
 

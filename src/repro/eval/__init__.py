@@ -17,13 +17,12 @@ from repro.eval.flows import (
     netlist_prefix,
     run_netlist_analysis,
     run_osss_flow,
-    run_rtl,
     run_vhdl_flow,
 )
 from repro.eval.metrics import RateSample, measure_stage, simulation_rates, speedup_table
 from repro.eval.report import flow_comparison, format_table, module_inventory
 from repro.eval.resilience import hardening_comparison
-from repro.eval.sweep import PointRunner, SweepPoint, grid, monotonic, sweep
+from repro.eval.sweep import SweepPoint, grid, monotonic, sweep
 
 __all__ = [
     "EffortMetrics",
@@ -48,10 +47,8 @@ __all__ = [
     "netlist_prefix",
     "run_netlist_analysis",
     "run_osss_flow",
-    "run_rtl",
     "run_vhdl_flow",
     "simulation_rates",
-    "PointRunner",
     "SweepPoint",
     "grid",
     "monotonic",

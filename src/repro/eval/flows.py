@@ -10,6 +10,14 @@ Both end in the same optimizer, STA and placement, so every reported
 difference comes from the *description style*, which is exactly the
 comparison of the paper's Results section.
 
+The OSSS path from design to gates is one memoized recipe,
+synthesize → techmap → opt (→ harden): :func:`synthesis_stage` and
+:func:`gate_stages`, or both at once through :func:`netlist_prefix`.
+The OSSS flow, ``repro analyze``, the design-space exploration
+evaluator, the fault injector and ``repro synth --netlist`` all take
+their netlist from it, so every number reported on a design comes from
+the same netlist.
+
 Both runners accept an :class:`~repro.store.ArtifactStore` (``store=``):
 each stage is then memoized through the design library — its inputs are
 fingerprinted, cached artifacts are replayed instead of recomputed, and
@@ -36,14 +44,19 @@ from repro.analyze import (
     analyze_design,
     diagnostics_from_lint_report,
 )
+# The recipe calls synthesize, map_module and optimize through their
+# modules at call time, so a wrapper installed on one of those module
+# attributes (bench/layers.py) sees every call.
+import repro.netlist.opt
+import repro.netlist.techmap
+import repro.synth.modulegen
+from repro.fault.harden import harden_circuit
 from repro.hdl.module import Module
 from repro.netlist.area import AreaReport, total_area
 from repro.netlist.circuit import Circuit
 from repro.netlist.linker import link
-from repro.netlist.opt import optimize
 from repro.netlist.pnr import place
 from repro.netlist.sta import TimingReport, analyze
-from repro.netlist.techmap import map_module
 from repro.obs.profiler import NULL_TRACER, Tracer
 from repro.rtl.ir import RtlModule
 from repro.rtl.lint import lint_module
@@ -70,7 +83,6 @@ from repro.store import (
     serialize_testability,
     serialize_timing,
 )
-from repro.synth.modulegen import synthesize
 
 
 #: The columns of a flow's summary row, in order.
@@ -152,21 +164,15 @@ def _load_summary(doc: Any) -> dict[str, Any]:
     return doc
 
 
-def _finish(name: str, rtl_outcome: StageOutcome, pre_outcome: StageOutcome,
+def _finish(name: str, rtl_outcome: StageOutcome, opt: StageOutcome,
             diagnostics: list[Diagnostic] | None,
             runner: StageRunner) -> FlowResult:
-    """The shared back end: opt → sta → pnr → sta_routed → summary.
+    """The shared back end: sta → pnr → sta_routed → summary.
 
-    *pre_outcome* holds the pre-optimization circuit (techmap or link
-    output).  Each stage keys on upstream digests and loads upstream
-    artifacts only inside its compute, so a fully warm run loads the
-    ``summary`` row and nothing else.
+    *opt* holds the optimized circuit.  Each stage keys on upstream
+    digests and loads upstream artifacts only inside its compute, so a
+    fully warm run loads the ``summary`` row and nothing else.
     """
-    opt = runner.run(
-        "opt", (pre_outcome.digest,),
-        compute=lambda: _optimized(pre_outcome.value()),
-        dump=serialize_circuit, load=deserialize_circuit,
-    )
     circuit = opt.value
     sta = runner.run(
         "sta", (opt.digest,),
@@ -204,12 +210,67 @@ def _annotate(flow_span, result: FlowResult) -> None:
 
 
 def _optimized(circuit: Circuit) -> Circuit:
-    optimize(circuit)
+    repro.netlist.opt.optimize(circuit)
     return circuit
 
 
+def _opt_stage(pre_outcome: StageOutcome,
+               runner: StageRunner) -> StageOutcome:
+    """The ``opt`` stage of both flows; *pre_outcome* holds the circuit
+    to optimize (the techmap or link output)."""
+    return runner.run(
+        "opt", (pre_outcome.digest,),
+        compute=lambda: _optimized(pre_outcome.value()),
+        dump=serialize_circuit, load=deserialize_circuit,
+    )
+
+
+def synthesis_stage(module: Module, runner: StageRunner,
+                    design_fp: str | None = None) -> StageOutcome:
+    """The recipe's first step: the memoized ``synthesize`` stage.
+
+    Keyed on the design fingerprint, which is computed here (only when
+    the runner has a store) unless the caller passes *design_fp*.  The
+    RTL fault campaigns run this step alone.
+    """
+    if design_fp is None:
+        design_fp = (fingerprint_design(module)
+                     if runner.store is not None else "")
+    return runner.run(
+        "synthesize", (design_fp,),
+        compute=lambda: repro.synth.modulegen.synthesize(
+            module, observe_children=False),
+        dump=serialize_rtl, load=deserialize_rtl,
+    )
+
+
+def gate_stages(synth_outcome: StageOutcome, runner: StageRunner,
+                hardening: str = "none") -> StageOutcome:
+    """The rest of the recipe, techmap → opt (→ harden), on the
+    :func:`synthesis_stage` outcome.  Returns the netlist's outcome.
+
+    *hardening* names a :func:`~repro.fault.harden.harden_circuit`
+    recipe; anything but ``"none"`` adds the ``harden`` stage, keyed on
+    the optimized netlist's digest plus the mode.  ``"none"`` returns
+    the ``opt`` outcome itself.
+    """
+    techmap = runner.run(
+        "techmap", (synth_outcome.digest,),
+        compute=lambda: repro.netlist.techmap.map_module(
+            synth_outcome.value()),
+        dump=serialize_circuit, load=deserialize_circuit,
+    )
+    opt = _opt_stage(techmap, runner)
+    if hardening == "none":
+        return opt
+    return runner.run(
+        "harden", (opt.digest, hardening),
+        compute=lambda: harden_circuit(opt.value(), hardening),
+        dump=serialize_circuit, load=deserialize_circuit,
+    )
+
+
 def run_osss_flow(module: Module, name: str = "osss",
-                  analyze_first: bool = True,
                   tracer: Tracer | None = None,
                   store: ArtifactStore | None = None,
                   guard=None) -> FlowResult:
@@ -233,24 +294,16 @@ def run_osss_flow(module: Module, name: str = "osss",
     stage boundary — how ``repro serve`` cancels in-flight jobs.
     """
     runner = StageRunner(store, tracer or NULL_TRACER, guard=guard)
-    tracer = runner.tracer
-    with tracer.span(f"flow:{name}") as flow_span:
+    with runner.tracer.span(f"flow:{name}") as flow_span:
         design_fp = fingerprint_design(module) if store is not None else ""
-        diagnostics: list[Diagnostic] = []
-        if analyze_first:
-            diagnostics = runner.run(
-                "analyze", (design_fp,),
-                compute=lambda: analyze_design(module),
-                dump=serialize_diagnostics, load=deserialize_diagnostics,
-            ).value()
-            errors = [d for d in diagnostics if d.severity == "error"]
-            if errors:
-                raise AnalysisError(diagnostics)
-        synth_outcome = runner.run(
-            "synthesize", (design_fp,),
-            compute=lambda: synthesize(module, observe_children=False),
-            dump=serialize_rtl, load=deserialize_rtl,
-        )
+        diagnostics = runner.run(
+            "analyze", (design_fp,),
+            compute=lambda: analyze_design(module),
+            dump=serialize_diagnostics, load=deserialize_diagnostics,
+        ).value()
+        if any(d.severity == "error" for d in diagnostics):
+            raise AnalysisError(diagnostics)
+        synth_outcome = synthesis_stage(module, runner, design_fp)
         rtl = synth_outcome.value
         diagnostics = diagnostics + runner.run(
             "lint", (synth_outcome.digest, name),
@@ -258,47 +311,28 @@ def run_osss_flow(module: Module, name: str = "osss",
                                                          name),
             dump=serialize_diagnostics, load=deserialize_diagnostics,
         ).value()
-        techmap_outcome = runner.run(
-            "techmap", (synth_outcome.digest,),
-            compute=lambda: map_module(rtl()),
-            dump=serialize_circuit, load=deserialize_circuit,
-        )
-        result = _finish(name, synth_outcome, techmap_outcome, diagnostics,
+        result = _finish(name, synth_outcome,
+                         gate_stages(synth_outcome, runner), diagnostics,
                          runner)
         _annotate(flow_span, result)
     return result
 
 
-def netlist_prefix(module: Module, runner: StageRunner):
-    """The memoized synthesize → techmap → opt prefix, reentrant.
+def netlist_prefix(module: Module, runner: StageRunner,
+                   hardening: str = "none") -> StageOutcome:
+    """The whole recipe, synthesize → techmap → opt (→ harden), reentrant.
 
-    Shared by :func:`run_netlist_analysis` and the design-space
-    exploration evaluator (:mod:`repro.dse.evaluate`): the three stages
-    run under the *same* names and keys as :func:`run_osss_flow`, so a
+    Shared by :func:`run_netlist_analysis`, the design-space exploration
+    evaluator (:mod:`repro.dse.evaluate`) and the fault injector
+    (:func:`repro.fault.scenarios.expocu_injector`): the stages run
+    under the *same* names and keys as :func:`run_osss_flow`, so a
     prior ``repro build`` leaves them warm and any number of callers
-    may re-enter them against one store.  Returns the ``(synthesize,
-    techmap, opt)`` :class:`~repro.store.StageOutcome` triple; a warm
-    entry yields only its digest, and its artifact never leaves disk
-    unless ``.value()`` is called.
+    may re-enter them against one store.  Returns the netlist's
+    :class:`~repro.store.StageOutcome` (see :func:`gate_stages`); a
+    warm entry yields only its digest, and its artifact never leaves
+    disk unless ``.value()`` is called.
     """
-    design_fp = (fingerprint_design(module)
-                 if runner.store is not None else "")
-    synth_outcome = runner.run(
-        "synthesize", (design_fp,),
-        compute=lambda: synthesize(module, observe_children=False),
-        dump=serialize_rtl, load=deserialize_rtl,
-    )
-    techmap_outcome = runner.run(
-        "techmap", (synth_outcome.digest,),
-        compute=lambda: map_module(synth_outcome.value()),
-        dump=serialize_circuit, load=deserialize_circuit,
-    )
-    opt_outcome = runner.run(
-        "opt", (techmap_outcome.digest,),
-        compute=lambda: _optimized(techmap_outcome.value()),
-        dump=serialize_circuit, load=deserialize_circuit,
-    )
-    return synth_outcome, techmap_outcome, opt_outcome
+    return gate_stages(synthesis_stage(module, runner), runner, hardening)
 
 
 def _testability(module: Module, runner: StageRunner,
@@ -310,7 +344,7 @@ def _testability(module: Module, runner: StageRunner,
     rebuilds it against the netlist, so a document whose net references
     the netlist rejects recomputes like a corrupt object.
     """
-    _, _, opt_outcome = netlist_prefix(module, runner)
+    opt_outcome = netlist_prefix(module, runner)
     circuit = opt_outcome.value
 
     def load(doc: Any) -> dict:
@@ -387,15 +421,13 @@ def _uses_blackboxes(rtl: RtlModule) -> bool:
     return False
 
 
-def run_rtl(rtl: RtlModule, name: str = "rtl",
-            ip_library: dict[str, Circuit] | None = None,
-            tracer: Tracer | None = None,
-            store: ArtifactStore | None = None,
-            guard=None) -> FlowResult:
-    """RTL (hand-written or pre-synthesized) → gates, linking IP."""
+def run_vhdl_flow(rtl: RtlModule, name: str = "vhdl",
+                  tracer: Tracer | None = None,
+                  store: ArtifactStore | None = None,
+                  guard=None) -> FlowResult:
+    """Hand-written (or pre-synthesized) RTL → gates, linking the VHDL IP."""
     runner = StageRunner(store, tracer or NULL_TRACER, guard=guard)
-    tracer = runner.tracer
-    with tracer.span(f"flow:{name}") as flow_span:
+    with runner.tracer.span(f"flow:{name}") as flow_span:
         rtl_fp = fingerprint_rtl(rtl) if store is not None else ""
         diagnostics = runner.run(
             "lint", (rtl_fp, name),
@@ -405,7 +437,7 @@ def run_rtl(rtl: RtlModule, name: str = "rtl",
         ).value()
         techmap_outcome = runner.run(
             "techmap", (rtl_fp,),
-            compute=lambda: map_module(rtl),
+            compute=lambda: repro.netlist.techmap.map_module(rtl),
             dump=serialize_circuit, load=deserialize_circuit,
         )
         pre_outcome = techmap_outcome
@@ -413,18 +445,13 @@ def run_rtl(rtl: RtlModule, name: str = "rtl",
             resolved: dict[str, Circuit] = {}
 
             def ips() -> dict[str, Circuit]:
-                # Resolved lazily so building the default IP library is
+                # Resolved lazily so building the IP library is
                 # attributed to the link span (and skipped entirely when
                 # the link stage is warm).
                 if not resolved:
-                    if ip_library is None:
-                        from repro.baseline.vhdl_ip import (
-                            ip_library as default_ips,
-                        )
+                    from repro.baseline.vhdl_ip import ip_library
 
-                        resolved.update(default_ips())
-                    else:
-                        resolved.update(ip_library)
+                    resolved.update(ip_library())
                 return resolved
 
             def link_parts() -> tuple[str, str]:
@@ -441,7 +468,8 @@ def run_rtl(rtl: RtlModule, name: str = "rtl",
             )
         live_rtl = StageOutcome("rtl", hit=False, digest=None, value=rtl,
                                 loaded=True)
-        result = _finish(name, live_rtl, pre_outcome, diagnostics, runner)
+        result = _finish(name, live_rtl, _opt_stage(pre_outcome, runner),
+                         diagnostics, runner)
         _annotate(flow_span, result)
     return result
 
@@ -450,11 +478,3 @@ def _linked(techmap_outcome, ip_library: dict[str, Circuit]) -> Circuit:
     circuit = techmap_outcome.value()
     link(circuit, ip_library)
     return circuit
-
-
-def run_vhdl_flow(rtl: RtlModule, name: str = "vhdl",
-                  tracer: Tracer | None = None,
-                  store: ArtifactStore | None = None,
-                  guard=None) -> FlowResult:
-    """Alias of :func:`run_rtl` with the default IP library."""
-    return run_rtl(rtl, name, tracer=tracer, store=store, guard=guard)

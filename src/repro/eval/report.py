@@ -63,8 +63,3 @@ def module_inventory(result, depth: int = 2) -> str:
     rows.append({"module": "TOTAL", "area_ge": round(report.total, 1),
                  "share_%": 100.0})
     return format_table(rows)
-
-
-def paper_anchor(experiment: str, claim: str, measured: str) -> str:
-    """One EXPERIMENTS.md-style record line."""
-    return f"[{experiment}] paper: {claim}\n        measured: {measured}"

@@ -10,46 +10,24 @@ readable.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 from repro.fault import expocu_campaign
 
 
-def hardening_comparison(
-    faults: int = 20,
-    seed: int = 1,
-    modes: Sequence[str] = ("none", "tmr", "parity", "tmr+parity"),
-    side: int = 8,
-    jobs: int = 1,
-    backend: str = "event",
-    collapse: bool = False,
-    fault_timeout: float | None = None,
-    max_retries: int = 1,
-) -> list[dict[str, Any]]:
+def hardening_comparison(faults: int = 20,
+                         seed: int = 1) -> list[dict[str, Any]]:
     """One row per hardening mode, same faults everywhere.
 
     The fault list is regenerated per mode from the same seed; targets
     are drawn from each variant's own netlist (hardened state is larger),
     so rows compare *strategies under equal pressure*, not fault-by-fault
     trajectories.  Rows render with :func:`repro.eval.report.format_table`.
-
-    *jobs* and *backend* scale each campaign exactly like
-    :func:`repro.fault.scenarios.expocu_campaign`: worker-process
-    sharding of the fault list and the compiled gate evaluator.
-    *collapse* enables static fault collapsing + quiescence pruning in
-    each campaign — rows are unchanged (collapsing is
-    classification-preserving), only faster to compute.
-    *fault_timeout*/*max_retries* bound each replay in wall-clock
-    seconds (retry, then quarantine) so one pathological variant cannot
-    stall the whole comparison.
     """
     rows = []
-    for mode in modes:
+    for mode in ("none", "tmr", "parity", "tmr+parity"):
         result = expocu_campaign(flow="netlist", faults=faults, seed=seed,
-                                 hardening=mode, side=side, jobs=jobs,
-                                 backend=backend, collapse=collapse,
-                                 fault_timeout=fault_timeout,
-                                 max_retries=max_retries)
+                                 hardening=mode)
         row = result.summary_rows()[0]
         row["sdc+hang"] = row["sdc"] + row["hang"]
         rows.append(row)

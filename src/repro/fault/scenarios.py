@@ -1,7 +1,8 @@
 """The bundled fault-injection scenario: campaigns on the ExpoCU.
 
 This is what ``repro inject`` runs: the paper's auto-exposure control
-unit is synthesized through the OSSS flow, one deterministic camera
+unit is built through the OSSS flow's design-to-gates recipe
+(:func:`repro.eval.flows.netlist_prefix`), one deterministic camera
 frame is driven through it, and seeded faults are injected at the RTL
 or gate level — optionally after hardening the netlist with the
 primitives from :mod:`repro.fault.harden`.
@@ -19,7 +20,6 @@ from repro.fault.campaign import (
     generate_fault_list,
     run_campaign,
 )
-from repro.fault.harden import harden_circuit
 from repro.fault.inject import (
     FaultableGateSimulator,
     GateFaultInjector,
@@ -56,10 +56,10 @@ def expocu_stimulus(seed: int, frames: int = 1, side: int = 8,
     return stim
 
 
-def _build_expocu_rtl(side: int):
+def expocu_design(side: int = 8):
+    """The ExpoCU every bundled campaign injects into, elaborated."""
     from repro.expocu import ExpoCU
     from repro.hdl import Clock, NS, Signal
-    from repro.synth.modulegen import synthesize
     from repro.types import Bit
     from repro.types.spec import bit
 
@@ -67,14 +67,19 @@ def _build_expocu_rtl(side: int):
     # transaction: every fault replay must simulate to quiescence for
     # hang classification, so the transaction length is the campaign's
     # cost driver.  The architecture under test is identical.
-    dut = ExpoCU[side, side, 128, 2]("expocu", Clock("clk", 10 * NS),
-                                     Signal("rst", bit(), Bit(1)))
-    return synthesize(dut, observe_children=False)
+    return ExpoCU[side, side, 128, 2]("expocu", Clock("clk", 10 * NS),
+                                      Signal("rst", bit(), Bit(1)))
 
 
 def expocu_injector(flow: str, hardening: str = "none", side: int = 8,
-                    backend: str = "event"):
+                    backend: str = "event", tracer=None):
     """Build the ExpoCU and wrap it in the flow's fault injector.
+
+    The netlist is the one :func:`repro.eval.flows.netlist_prefix`
+    makes for the design and *hardening* mode, which is also the one
+    design-space exploration scores; the ``rtl`` flow runs only the
+    recipe's ``synthesize`` step.  The stages run uncached, with their
+    spans on *tracer*.
 
     *backend* selects the gate-level evaluation engine
     (:class:`~repro.netlist.sim.GateSimulator`): ``"event"``, the
@@ -87,26 +92,25 @@ def expocu_injector(flow: str, hardening: str = "none", side: int = 8,
             "the compiled evaluator backend operates on the netlist flow "
             "(--flow netlist); RTL injection is always event-driven"
         )
-    rtl = _build_expocu_rtl(side)
-    if flow == "rtl":
-        if hardening != "none":
-            raise ValueError(
-                "hardening operates on the netlist flow "
-                "(--flow netlist); the RTL flow is always unhardened"
-            )
-        return RtlFaultInjector(RtlSimulator(rtl))
-    if flow == "netlist":
-        from repro.netlist.opt import optimize
-        from repro.netlist.techmap import map_module
-
-        circuit = map_module(rtl)
-        optimize(circuit)
-        if hardening != "none":
-            harden_circuit(circuit, hardening)
-        return GateFaultInjector(
-            FaultableGateSimulator(circuit, backend=backend)
+    if flow == "rtl" and hardening != "none":
+        raise ValueError(
+            "hardening operates on the netlist flow "
+            "(--flow netlist); the RTL flow is always unhardened"
         )
-    raise ValueError(f"unknown flow {flow!r} (expected 'rtl' or 'netlist')")
+    if flow not in ("rtl", "netlist"):
+        raise ValueError(
+            f"unknown flow {flow!r} (expected 'rtl' or 'netlist')")
+    from repro.eval.flows import netlist_prefix, synthesis_stage
+    from repro.obs.profiler import NULL_TRACER
+    from repro.store import StageRunner
+
+    runner = StageRunner(None, tracer or NULL_TRACER)
+    design = expocu_design(side)
+    if flow == "rtl":
+        rtl = synthesis_stage(design, runner).value()
+        return RtlFaultInjector(RtlSimulator(rtl))
+    circuit = netlist_prefix(design, runner, hardening).value()
+    return GateFaultInjector(FaultableGateSimulator(circuit, backend=backend))
 
 
 def expocu_config(hardening: str = "none",
@@ -159,8 +163,9 @@ def expocu_campaign(
     wall-clock seconds with retry-then-quarantine semantics, and
     *journal*/*resume* checkpoint the campaign for crash-safe resume
     (see :func:`repro.fault.campaign.run_campaign`).  *tracer* (a
-    :class:`repro.obs.Tracer`) profiles injector construction and the
-    campaign (``repro inject --profile``).
+    :class:`repro.obs.Tracer`) profiles injector construction, with the
+    recipe's stage spans under ``build_injector``, and the campaign
+    (``repro inject --profile``); worker processes trace nothing.
     """
     from repro.obs.profiler import NULL_TRACER
 
@@ -169,7 +174,7 @@ def expocu_campaign(
                                 backend)
     with tracer.span("build_injector", flow=flow, backend=backend,
                      hardening=hardening):
-        injector = factory()
+        injector = factory(tracer=tracer)
     if stimulus is None:
         stimulus = expocu_stimulus(seed, frames=1, side=side)
     fault_list = generate_fault_list(injector, faults, len(stimulus), seed)

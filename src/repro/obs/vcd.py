@@ -86,10 +86,6 @@ class VcdWriter:
         """Number of declared variables."""
         return len(self._vars)
 
-    def last_value(self, ident: str) -> int | None:
-        """The most recently recorded value of *ident*, if any."""
-        return self._last.get(ident)
-
     # ------------------------------------------------------------------
     # output
     # ------------------------------------------------------------------

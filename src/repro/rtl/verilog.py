@@ -91,12 +91,6 @@ class VerilogWriter:
         return "\n\n".join(chunks) + "\n"
 
 
-def _signed_wrap(text: str, expr: Expr) -> str:
-    if expr.spec.kind in ("signed", "fixed"):
-        return f"$signed({text})"
-    return text
-
-
 def _emit_one(mod: RtlModule) -> str:
     namer = _Namer()
     lines: list[str] = []

@@ -15,7 +15,7 @@ from repro.eval import (
     measure_source,
     module_inventory,
     run_osss_flow,
-    run_rtl,
+    run_vhdl_flow,
     simulation_rates,
     speedup_table,
 )
@@ -103,7 +103,7 @@ class TestFlows:
 
         osss = run_osss_flow(CamSync("s", Clock("clk", 10 * NS),
                                      Signal("rst", bit(), Bit(1))))
-        vhdl = run_rtl(sync_rtl(), "vhdl")
+        vhdl = run_vhdl_flow(sync_rtl(), "vhdl")
         table = flow_comparison(osss, vhdl)
         assert "osss / vhdl" in table and "area_ge" in table
 

@@ -14,7 +14,6 @@ from repro.eval.report import (
     flow_comparison,
     format_table,
     module_inventory,
-    paper_anchor,
 )
 from repro.eval.sweep import SweepPoint
 
@@ -120,13 +119,6 @@ class TestModuleInventory:
         assert "top/a" in lines[2] and "60.0" in lines[2]
         assert lines[-1].startswith("TOTAL")
         assert "100.0" in lines[-1]
-
-
-class TestPaperAnchor:
-    def test_format(self):
-        text = paper_anchor("E1", "smaller area", "1.9x larger")
-        assert text.startswith("[E1] paper: smaller area")
-        assert "measured: 1.9x larger" in text
 
 
 class TestSweepPointRow:

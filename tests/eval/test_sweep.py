@@ -1,8 +1,6 @@
 """Tests for the parameter-sweep harness."""
 
-import pytest
-
-from repro.eval.sweep import PointRunner, grid, monotonic, sweep
+from repro.eval.sweep import grid, monotonic, sweep
 from repro.expocu import HistogramUnit
 from repro.hdl import Clock, NS, Signal
 from repro.synth import SynthesisError
@@ -81,36 +79,3 @@ class TestSweep:
         assert row["error"].startswith("SynthesisError:")
         # The surviving points still carry full flow results.
         assert points[2].result.area > points[0].result.area
-
-    def test_on_error_raise_restores_fail_fast(self):
-        def bad_factory(count_bits):
-            raise SynthesisError("always broken")
-
-        with pytest.raises(SynthesisError):
-            sweep(bad_factory, grid(count_bits=[8]), on_error="raise")
-
-    def test_bad_on_error_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(hist_factory, [], on_error="ignore")
-
-
-class TestPointRunner:
-    def test_reentrant_over_points(self):
-        runner = PointRunner(hist_factory)
-        first = runner.run({"count_bits": 8})
-        second = runner.run({"count_bits": 12})
-        assert first.ok and second.ok
-        assert second.result.area > first.result.area
-
-    def test_records_flow_errors(self):
-        def bad_factory(count_bits):
-            raise SynthesisError("nope")
-
-        point = PointRunner(bad_factory).run({"count_bits": 8})
-        assert not point.ok
-        assert isinstance(point.error, SynthesisError)
-
-    def test_store_requires_default_flow(self):
-        with pytest.raises(ValueError):
-            PointRunner(hist_factory, flow=lambda module: None,
-                        store=object())

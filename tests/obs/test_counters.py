@@ -168,19 +168,21 @@ class TestExpoCuBackendComparison:
     evals than the event backend on the ExpoCU campaign."""
 
     def test_compiled_fewer_cell_evals_on_campaign(self):
+        from repro.eval.flows import netlist_prefix
         from repro.fault.campaign import generate_fault_list, run_campaign
         from repro.fault.inject import (
             FaultableGateSimulator,
             GateFaultInjector,
         )
         from repro.fault.scenarios import (
-            _build_expocu_rtl,
             expocu_config,
+            expocu_design,
             expocu_stimulus,
         )
+        from repro.store import StageRunner
 
-        circuit = map_module(_build_expocu_rtl(side=8))
-        optimize(circuit)
+        circuit = netlist_prefix(expocu_design(side=8),
+                                 StageRunner(None)).value()
         stimulus = expocu_stimulus(seed=1, frames=1, side=8)
         stats = {}
         reports = {}

@@ -16,8 +16,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.eval.flows import run_osss_flow, run_vhdl_flow
 from repro.eval.sweep import sweep
 from repro.store import ArtifactStore, canonical_json
@@ -126,12 +124,6 @@ class TestSweepReuse:
         assert [p.row() for p in again] == [p.row() for p in points]
         # A warm point's row is its stored summary row: no netlist loads.
         assert "repro-netlist/v1" not in loaded
-
-    def test_sweep_rejects_store_with_custom_flow(self, tmp_path):
-        store = ArtifactStore(tmp_path / "cache")
-        with pytest.raises(ValueError, match="store="):
-            sweep(lambda: make_probe(), [{}], flow=lambda m: None,
-                  store=store)
 
 
 _WRITER = textwrap.dedent("""\
