@@ -576,10 +576,11 @@ def _classify_batch(injector, faults: Sequence[Fault],
     fault can then never raise, so the scalar classifier's
     exception-means-detected path has no batch counterpart.
 
-    The drain ends early once the lanes still active provably cycle:
-    only their flop bits are compared (see
-    ``injector.lane_state_snapshot``), so lanes that already finished
-    cannot hide a hanging lane's short period behind their own.
+    The batch drives the lane steps and reducers on ``injector.sim``
+    directly.  The drain ends early once the lanes still active
+    provably cycle: only their flop bits are compared (see
+    ``sim.lane_state_snapshot``), so lanes that already finished cannot
+    hide a hanging lane's short period behind their own.
     """
     n = len(faults)
     base = min(fault.cycle for fault in faults)
@@ -591,15 +592,16 @@ def _classify_batch(injector, faults: Sequence[Fault],
     diff_seen = 0
     detected = 0
     hang = 0
+    sim = injector.sim
     injector.restore(golden.snapshots[base])
     try:
-        injector.begin_lanes(n)
+        sim.begin_lanes(n)
         for cycle in range(base, len(stimulus)):
             for lane, fault in by_cycle.get(cycle, ()):
-                injector.inject_lane(fault, lane)
-            injector.step_lanes(stimulus[cycle])
+                injector.inject(fault, lane)
+            sim.step_lanes(stimulus[cycle])
             reference = golden.trace[cycle]
-            diff = injector.lanes_output_diff(reference, golden.observed)
+            diff = sim.lanes_output_diff(reference, golden.observed)
             fresh = diff & ~diff_seen
             while fresh:
                 lane = (fresh & -fresh).bit_length() - 1
@@ -607,10 +609,10 @@ def _classify_batch(injector, faults: Sequence[Fault],
                 fresh &= fresh - 1
             diff_seen |= diff
             if config.detect_signals:
-                detected |= injector.lanes_detect_rise(
+                detected |= sim.lanes_detect_rise(
                     reference, config.detect_signals
                 )
-            injector.commit_lanes()
+            sim.commit_lanes()
         # No done-signal means the scalar drain declares quiescence
         # immediately (no drain steps, no hang) — mirror that here.
         if golden.done and config.done_signal is not None:
@@ -627,27 +629,26 @@ def _classify_batch(injector, faults: Sequence[Fault],
             # exhausting the budget would produce.
             cycle_check = _CycleCheck()
             while cycles < config.drain_budget + 1:
-                injector.step_lanes(idle)
+                sim.step_lanes(idle)
                 if config.detect_signals:
                     k = min(cycles, len(detect_trace) - 1)
                     reference = detect_trace[k] if k >= 0 else {}
-                    detected |= injector.lanes_detect_rise(
+                    detected |= sim.lanes_detect_rise(
                         reference, config.detect_signals
                     ) & active
-                done = injector.lanes_done(config.done_signal,
-                                           config.done_value)
-                injector.commit_lanes()
+                done = sim.lanes_done(config.done_signal, config.done_value)
+                sim.commit_lanes()
                 cycles += 1
                 active &= ~done
                 if not active:
                     break
                 if cycles >= len(detect_trace) - 1 and cycle_check.repeats(
                         cycles, (active, detected,
-                                 injector.lane_state_snapshot(active))):
+                                 sim.lane_state_snapshot(active))):
                     break
             hang = active
     finally:
-        injector.end_lanes()
+        sim.end_lanes()
         injector.clear_faults()
     records = []
     for lane, fault in enumerate(faults):

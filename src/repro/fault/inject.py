@@ -27,9 +27,11 @@ Both injectors speak the same small protocol the campaign engine
 ``state_key()``            a comparable state that fixes every later
                            cycle under a constant input.
 
-The gate injector on the ``bitparallel`` backend adds a lane surface
-(``lane_capacity``, ``resolve``, ``inject_lane``, ``step_lanes`` …) so
-one replay classifies up to 64 faults of any kind.
+On the ``bitparallel`` backend the gate injector also has a
+``lane_capacity`` and ``resolve``, and ``inject(fault, lane)`` applies a
+fault to one lane; the campaign steps the lanes on ``injector.sim``
+(``begin_lanes``, ``step_lanes``, the ``lanes_*`` reducers,
+``commit_lanes``), so one replay classifies up to 64 faults of any kind.
 """
 
 from __future__ import annotations
@@ -288,38 +290,26 @@ class RtlFaultInjector:
 class FaultableGateSimulator(GateSimulator):
     """Gate simulator with stuck-at forcing and transient net flips.
 
-    Forced nets are clamped at the three points where the base simulator
-    writes net values — input drive, combinational evaluation and flop
-    commit — under *every* evaluation backend: the event engine clamps
-    in ``_eval`` and the commit loop from ``_forced``/``_transient``;
-    both generated engines run ``settle_forced`` over per-slot
-    ``(keep, value)`` masks (a scalar clamp is ``(0, value)``) and
-    re-apply them after the generated commit, so on the bitparallel
-    engine each lane can hold its own fault — a stuck-at
-    (:meth:`force_net_lane`) or a transient (:meth:`flip_net_lane`, a
-    one-step glitch mask composed with the stuck-at masks of the other
-    lanes).  Input drive clamps through the same masks on every
-    backend.  The fault-free hot path is
-    untouched because clamping only happens in this subclass, and only
-    while a force is active.  Forced slots are keyed by value-list slot
-    (see :class:`~repro.netlist.sim.GateSimulator`).
-
-    Transient flips (:meth:`flip_net`) on combinational or input nets
-    are *one-cycle* glitches: the inverted value is clamped through
-    exactly one following step — so the flops sample it once — and
-    healed before the next cycle.  The clamp makes the semantics
-    backend-uniform; previously the event engine let a glitch persist
-    until the driver's cone next changed while a compiled settle healed
-    it before anything sampled it, so the same transient fault could
-    classify differently (or on the final stimulus cycle be dropped
-    outright / act stuck through the drain) depending on the backend.
-    Flop-output flips are state upsets and persist until the next
-    commit overwrites them, identically under every backend.
+    Every gate fault is a per-slot ``(keep, value)`` lane mask that
+    turns the slot's value *v* into ``v & keep | value``: a 0-bit in
+    *keep* pins that lane, 1-bits leave the other lanes free, and scalar
+    simulation is lane 0 at ``M == 1``, where a clamp is ``(0, value)``.
+    Stuck-ats (:meth:`force_net`) stay in ``_force_masks`` until
+    :meth:`release_all`; one-step glitches (:meth:`flip_net` on a
+    combinational or input net) stay in ``_glitch_masks`` until the next
+    flop commit.  ``_clamps`` composes the two, a stuck-at winning on
+    the lanes it pins.  Every backend clamps from it where net values
+    are written — input drive, combinational evaluation (the event
+    engine's ``_eval``, the generated ``settle_clamped``) and flop
+    commit — and ends each step in :meth:`_post_commit`; with no clamp
+    set, steps are the base simulator's.  So under every backend the
+    flops sample a glitch exactly once, and a flop-output flip (a state
+    upset) persists until the next commit overwrites it.
     """
 
     #: Lane steps with an unchanged force set before the wide engine
     #: recompiles the settle with the clamps baked in as literals
-    #: (:meth:`~repro.netlist.sim._CompiledEngine.specialize_forced`).
+    #: (:meth:`~repro.netlist.sim._CompiledEngine.specialize_clamped`).
     #: High enough that the stimulus phase, where lanes activate every
     #: few cycles, almost never compiles; low enough that a long drain
     #: amortizes the one-time compile within a few dozen steps.
@@ -328,18 +318,12 @@ class FaultableGateSimulator(GateSimulator):
     def __init__(self, circuit: Circuit, backend: str = "event") -> None:
         # Before super().__init__: the base constructor settles the
         # circuit through our clamped _eval, which reads these.
-        #: Event engine: slot -> stuck-at value.
-        self._forced: dict[int, int] = {}
-        #: Every backend: slot -> (keep, value) stuck-at masks; a
-        #: settled expression becomes ``expr & keep | value``.
+        #: slot -> (keep, value) stuck-at masks, held until release_all().
         self._force_masks: dict[int, tuple[int, int]] = {}
-        #: One-cycle transient clamps: slot -> glitch value, healed
-        #: after the next committed step.
-        self._transient: dict[int, int] = {}
-        #: Lane-parallel one-cycle glitches: slot -> (keep, value) lane
-        #: masks, composed with ``_force_masks`` and expired by the next
-        #: commit_lanes().
+        #: slot -> (keep, value) one-step glitches, until the next commit.
         self._glitch_masks: dict[int, tuple[int, int]] = {}
+        #: Both tables composed: the clamps every engine applies.
+        self._clamps: dict[int, tuple[int, int]] = {}
         #: Wide-settle specialization state: once the same force set has
         #: been lane-stepped SPEC_AFTER times in a row, the engine
         #: recompiles the settle with the clamps baked in as literals.
@@ -372,27 +356,14 @@ class FaultableGateSimulator(GateSimulator):
         return net_slot
 
     # -- forcing -------------------------------------------------------
-    def _any_fault(self) -> bool:
-        return bool(self._forced or self._force_masks or self._transient
-                    or self._glitch_masks)
-
-    def _lane_forces(self) -> dict[int, tuple[int, int]]:
-        """The ``(keep, value)`` clamps for the generated ``settle_forced``.
-
-        Scalar transients become ``(0, glitch)`` pairs; stuck-at masks
-        win over glitches on the lanes they clamp.
-        """
-        forces = self._force_masks
-        if self._transient:
-            forces = {net_slot: (0, glitch)
-                      for net_slot, glitch in self._transient.items()}
-            forces.update(self._force_masks)
-        if self._glitch_masks:
-            forces = dict(forces)
-            for net_slot, (g_keep, g_val) in self._glitch_masks.items():
-                keep, val = forces.get(net_slot, (self._lane_mask, 0))
-                forces[net_slot] = (keep & g_keep, val | g_val & keep)
-        return forces
+    def _compose(self) -> None:
+        """Rebuild ``_clamps`` after a change to either mask table."""
+        clamps = dict(self._force_masks)
+        for net_slot, (g_keep, g_val) in self._glitch_masks.items():
+            keep, val = clamps.get(net_slot, (self._lane_mask, 0))
+            clamps[net_slot] = (keep & g_keep, val | g_val & keep)
+        self._clamps = clamps
+        self._forces_version += 1
 
     def _lane_bit(self, lane: int) -> int:
         if not 0 <= lane < self._lanes:
@@ -401,109 +372,82 @@ class FaultableGateSimulator(GateSimulator):
             )
         return 1 << lane
 
-    def force_net(self, net: Net, value: int) -> None:
-        """Stuck-at: hold *net* at *value* until :meth:`release_all`."""
-        net_slot = self._slot_of(net)
-        self._ensure_settled()
-        value &= 1
-        self._forced[net_slot] = value
-        self._force_masks[net_slot] = (0, value and self._lane_mask)
-        self._forces_version += 1
-        if self._values[net_slot] != value:
-            self._values[net_slot] = value
-            if self._compiled is not None:
-                self._stale = True
-            else:
-                self._propagate([net_slot])
+    def _pin(self, masks: dict[int, tuple[int, int]], net_slot: int,
+             bit: int, value_bit: int) -> None:
+        """Pin lane *bit* of *net_slot* to *value_bit*, and only that lane."""
+        keep, val = masks.get(net_slot, (self._lane_mask, 0))
+        masks[net_slot] = (keep & ~bit, val & ~bit | value_bit)
+        self._compose()
 
-    def force_net_lane(self, net: Net, value: int, lane: int) -> None:
-        """Stuck-at in one lane of a lane-parallel (bitparallel) run.
+    def _write(self, net_slot: int, value: int) -> None:
+        """Write one slot between steps; the nets it drives follow."""
+        clamp = self._clamps.get(net_slot)
+        if clamp is not None:  # a stuck-at holds a flip of its own lane
+            value = value & clamp[0] | clamp[1]
+        values = self._values
+        if self._compiled is not None:
+            values[net_slot] = value
+            self._stale = True
+        elif values[net_slot] != value:
+            values[net_slot] = value
+            self._propagate([net_slot])
 
-        The lane's bit of *net* is clamped to *value* through drive,
-        settle and commit while the other lanes evaluate freely; the
-        clamp also applies immediately so a forced flop output diverges
-        in its injection cycle exactly like a scalar :meth:`force_net`.
+    def force_net(self, net: Net, value: int, lane: int = 0) -> None:
+        """Stuck-at: hold *lane*'s bit of *net* at *value*.
+
+        The lane's bit is clamped through drive, settle and commit until
+        :meth:`release_all` while the other lanes evaluate freely; the
+        clamp also applies at once, so a forced flop output diverges in
+        its injection cycle.
         """
         net_slot = self._slot_of(net)
         bit = self._lane_bit(lane)
         value_bit = bit if value & 1 else 0
-        keep, val = self._force_masks.get(net_slot,
-                                          (self._lane_mask, 0))
-        self._force_masks[net_slot] = (keep & ~bit, val & ~bit | value_bit)
-        self._forces_version += 1
-        self._values[net_slot] = self._values[net_slot] & ~bit | value_bit
-        self._stale = True
+        self._pin(self._force_masks, net_slot, bit, value_bit)
+        self._write(net_slot, self._values[net_slot] & ~bit | value_bit)
 
-    def flip_net(self, net: Net) -> None:
-        """Transient upset: invert the current value of *net* once.
+    def flip_net(self, net: Net, lane: int = 0) -> None:
+        """Transient upset: invert *lane*'s bit of *net* once.
 
-        Flop outputs (a state SEU) stay inverted until the next clock
-        commit overwrites them.  Combinational and input nets glitch for
-        exactly one cycle: the inverted value is clamped through the
-        next step — surviving that step's input drive and settle, so the
-        flops sample it once — and healed before the following cycle.
-        Identical under every backend (see the class docstring).
-        """
-        net_slot = self._slot_of(net)
-        self._ensure_settled()
-        glitch = self._values[net_slot] ^ 1
-        if net_slot not in self._flop_q_set:
-            self._transient[net_slot] = glitch
-            self._forces_version += 1
-        self._values[net_slot] = glitch
-        if self._compiled is not None:
-            self._stale = True
-        else:
-            self._propagate([net_slot])
-
-    def flip_net_lane(self, net: Net, lane: int) -> None:
-        """Transient upset in one lane of a lane-parallel (bitparallel) run.
-
-        :meth:`flip_net` per lane: a flop-output flip inverts the lane's
-        state bit until the next commit overwrites it; any other net
-        gets a one-step ``(keep, value)`` glitch mask holding the inverse
-        of the lane's settled pre-step value.  The mask composes with
-        the stuck-at masks other lanes hold on the same slot and expires
-        in :meth:`commit_lanes`, which also heals a glitched primary
-        input back to its driven bit.
+        A flop output (a state SEU) stays inverted until the next clock
+        commit overwrites it.  Any other net gets a one-step glitch mask
+        holding the inverse of the lane's settled value: it survives the
+        next step's input drive and settle, so the flops sample it once,
+        and expires at that step's commit, which also heals a glitched
+        primary input back to its driven bit.  A second flip of the net
+        in the lane before then replaces the lane's glitch bit.
         """
         net_slot = self._slot_of(net)
         bit = self._lane_bit(lane)
         self._ensure_settled()
-        values = self._values
-        if net_slot in self._flop_q_set:
-            values[net_slot] ^= bit
-        else:
-            glitch = ~values[net_slot] & bit
-            keep, val = self._glitch_masks.get(net_slot,
-                                               (self._lane_mask, 0))
-            self._glitch_masks[net_slot] = (keep & ~bit, val | glitch)
-            self._forces_version += 1
-            values[net_slot] = values[net_slot] & ~bit | glitch
-        self._stale = True
+        flipped = self._values[net_slot] ^ bit
+        if net_slot not in self._flop_q_set:
+            self._pin(self._glitch_masks, net_slot, bit, flipped & bit)
+        self._write(net_slot, flipped)
 
     def release_all(self) -> None:
-        """Remove every force and pending glitch; re-settle the circuit."""
-        if not self._any_fault():
+        """Remove every force and pending glitch; re-settle the circuit.
+
+        Clamped primary inputs go back to their driven bits at once.
+        """
+        if not self._clamps:
             return
-        self._restore_glitched_inputs([*self._transient, *self._glitch_masks])
-        self._forced.clear()
+        clamped = list(self._clamps)
         self._force_masks.clear()
-        self._transient.clear()
         self._glitch_masks.clear()
-        self._forces_version += 1
+        self._compose()
+        self._heal_inputs(clamped)
         # Recompute from scratch: forced values may have latched into
         # arbitrary downstream state, so settle every cell once.  Flop
         # contents corrupted while the force was active stay corrupted —
         # removing a physical fault does not repair the state it caused.
         self._settle_all()
 
-    def _restore_glitched_inputs(self, slots) -> None:
-        """Put glitched primary-input *slots* back to their driven bits.
+    def _heal_inputs(self, slots) -> None:
+        """Put the primary inputs among *slots* back to their driven bits.
 
-        A settle only recomputes cell outputs, so a transient on an
-        input net must be healed from the stored bus values (and the
-        stuck-at masks other lanes hold on it re-applied).
+        A settle never writes input nets, so their clamps are undone from
+        the stored bus values (re-applying the stuck-ats still held).
         """
         values = self._values
         mask = self._lane_mask
@@ -515,41 +459,51 @@ class FaultableGateSimulator(GateSimulator):
                 driven = (self._inputs[name] >> k) & 1 and mask
                 values[net_slot] = driven & keep | val
 
-    def _heal_transients(self) -> None:
-        """End-of-step healing: one-cycle glitches expire here."""
-        self._restore_glitched_inputs(self._transient)
-        self._transient.clear()
-        self._forces_version += 1
+    def _post_commit(self) -> None:
+        """End of every faulted step, after the flop commit.
+
+        Re-applies the stuck-at masks the commit overwrote (a no-op on
+        the event engine, whose commit clamps as it writes), expires the
+        glitches and heals glitched primary inputs.  The generated
+        engines re-settle lazily; the event engine settles every cell
+        once, so a healed glitch reaches the nets it drove.
+        """
+        values = self._values
+        for net_slot, (keep, val) in self._force_masks.items():
+            values[net_slot] = values[net_slot] & keep | val
+        if self._glitch_masks:
+            self._heal_inputs(self._glitch_masks)
+            self._glitch_masks.clear()
+            self._compose()
+            if self._compiled is None:
+                self._settle_all()
         if self._compiled is not None:
             self._stale = True
-        else:
-            self._settle_all()
 
     # -- clamped write points -----------------------------------------
     def _settle_all(self) -> None:
-        if self._compiled is not None and self._any_fault():
+        if self._compiled is not None and self._clamps:
             self._n_settles += 1
-            self._compiled.settle_forced(self._values, self._lane_forces())
+            self._compiled.settle_clamped(self._values, self._clamps)
             self._stale = False
             return
         super()._settle_all()
 
     def _eval(self, cell) -> bool:
         out = self._cell_out[cell.uid]
-        forced = self._forced.get(out)
-        if forced is None:
-            forced = self._transient.get(out)
-        if forced is not None:
-            if self._values[out] == forced:
-                return False
-            self._values[out] = forced
-            return True
-        return super()._eval(cell)
+        clamp = self._clamps.get(out)
+        if clamp is None:
+            return super()._eval(cell)
+        value = clamp[1]  # the event engine is scalar: keep is 0
+        if self._values[out] == value:
+            return False
+        self._values[out] = value
+        return True
 
     def drive(self, **buses: int) -> list[int]:
         dirty = super().drive(**buses)
         values = self._values
-        for net_slot, (keep, val) in self._lane_forces().items():
+        for net_slot, (keep, val) in self._clamps.items():
             clamped = values[net_slot] & keep | val
             if values[net_slot] != clamped:
                 values[net_slot] = clamped
@@ -557,58 +511,53 @@ class FaultableGateSimulator(GateSimulator):
         return dirty
 
     def _step_event(self, buses) -> dict[str, int]:
-        if not self._any_fault():
+        if not self._clamps:
             return super()._step_event(buses)
         dirty = self.drive(**buses)
         if dirty:
             self._propagate(dirty)
         outputs = self.peek_outputs()
         values = self._values
-        forced = self._forced
+        clamps = self._clamps
         sampled = [values[d] for d in self._flop_d]
         changed: list[int] = []
         for q, d_value in zip(self._flop_q, sampled):
-            d_value = forced.get(q, d_value)
+            if q in clamps:
+                keep, val = clamps[q]
+                d_value = d_value & keep | val
             if values[q] != d_value:
                 values[q] = d_value
                 changed.append(q)
         if changed:
             self._propagate(changed)
         self.cycle += 1
-        if self._transient:
-            self._heal_transients()
+        self._post_commit()
         return outputs
 
     def _step_compiled(self, buses) -> dict[str, int]:
-        if not self._any_fault():
+        if not self._clamps:
             return super()._step_compiled(buses)
         self.drive(**buses)  # re-applies input clamps
         engine = self._compiled
         values = self._values
-        engine.settle_forced(values, self._lane_forces())
+        engine.settle_clamped(values, self._clamps)
         self._n_settles += 1
         outputs = engine.peek(values)
         engine.commit(values)
         self._n_fast_commits += 1
-        for net_slot, (keep, val) in self._force_masks.items():
-            values[net_slot] = values[net_slot] & keep | val  # flop clamps
-        self._stale = True
         self.cycle += 1
-        if self._transient:
-            self._heal_transients()
+        self._post_commit()
         return outputs
 
     def restore_state(self, snap: tuple) -> None:
-        self._forced.clear()
         self._force_masks.clear()
-        self._transient.clear()
         self._glitch_masks.clear()
-        self._forces_version += 1
+        self._compose()
         super().restore_state(snap)
 
     # -- lane-parallel stepping (bitparallel backend) ------------------
     def begin_lanes(self, n: int) -> None:
-        if self._any_fault():
+        if self._clamps:
             raise NetlistError(
                 "begin_lanes() needs a fault-free scalar state; release "
                 "forces before widening"
@@ -627,8 +576,8 @@ class FaultableGateSimulator(GateSimulator):
         if self._lanes == 1:
             raise NetlistError("step_lanes() needs begin_lanes() first")
         self.drive(**dict(entry))
-        forces = self._lane_forces()
-        if forces:
+        clamps = self._clamps
+        if clamps:
             if self._spec_version != self._forces_version:
                 self._spec_version = self._forces_version
                 self._spec_streak = 0
@@ -636,35 +585,25 @@ class FaultableGateSimulator(GateSimulator):
             if self._spec_settle is not None:
                 self._spec_settle(self._values)
             else:
-                self._compiled.settle_forced(self._values, forces)
+                self._compiled.settle_clamped(self._values, clamps)
                 self._spec_streak += 1
                 if self._spec_streak >= self.SPEC_AFTER:
                     self._spec_settle = (
-                        self._compiled.specialize_forced(forces)
+                        self._compiled.specialize_clamped(clamps)
                     )
         else:
             self._compiled.settle(self._values)
         self._n_settles += 1
 
     def commit_lanes(self) -> None:
-        """Lane step, phase 2: flop commit plus post-commit clamps.
-
-        Lane glitches (:meth:`flip_net_lane`) expire here.
-        """
+        """Lane step, phase 2: the flop commit, then :meth:`_post_commit`."""
         if self._lanes == 1:
             raise NetlistError("commit_lanes() needs begin_lanes() first")
-        values = self._values
-        self._compiled.commit(values)
+        self._compiled.commit(self._values)
         self._n_fast_commits += 1
-        for net_slot, (keep, val) in self._force_masks.items():
-            values[net_slot] = values[net_slot] & keep | val
-        if self._glitch_masks:
-            self._restore_glitched_inputs(self._glitch_masks)
-            self._glitch_masks.clear()
-            self._forces_version += 1
-        self._stale = True
         self.cycle += 1
         self._n_steps += 1
+        self._post_commit()
 
     # -- lane reducers (read between step_lanes and commit_lanes) ------
     def lanes_output_diff(self, reference: Mapping[str, int],
@@ -854,12 +793,13 @@ class GateFaultInjector:
         self.sim._slot_of(net)  # rejects constant and foreign nets
         return net
 
-    def inject(self, fault) -> None:
+    def inject(self, fault, lane: int = 0) -> None:
+        """Apply *fault* to *lane* (0 outside a lane-parallel run)."""
         net = self.resolve(fault)
         if fault.kind in ("sa0", "sa1"):
-            self.sim.force_net(net, 1 if fault.kind == "sa1" else 0)
+            self.sim.force_net(net, fault.kind == "sa1", lane)
         else:
-            self.sim.flip_net(net)
+            self.sim.flip_net(net, lane)
 
     def clear_faults(self) -> None:
         self.sim.release_all()
@@ -885,36 +825,3 @@ class GateFaultInjector:
         if self.sim.backend == "bitparallel":
             return self.sim.LANE_CAPACITY
         return 0
-
-    def begin_lanes(self, n: int) -> None:
-        self.sim.begin_lanes(n)
-
-    def end_lanes(self) -> None:
-        self.sim.end_lanes()
-
-    def inject_lane(self, fault, lane: int) -> None:
-        """Apply one fault of any kind to one lane (see :meth:`inject`)."""
-        net = self.resolve(fault)
-        if fault.kind in ("sa0", "sa1"):
-            self.sim.force_net_lane(net, 1 if fault.kind == "sa1" else 0,
-                                    lane)
-        else:
-            self.sim.flip_net_lane(net, lane)
-
-    def step_lanes(self, entry: Mapping[str, int]) -> None:
-        self.sim.step_lanes(entry)
-
-    def commit_lanes(self) -> None:
-        self.sim.commit_lanes()
-
-    def lanes_output_diff(self, reference, names) -> int:
-        return self.sim.lanes_output_diff(reference, names)
-
-    def lanes_detect_rise(self, reference, signals) -> int:
-        return self.sim.lanes_detect_rise(reference, signals)
-
-    def lanes_done(self, done_signal, done_value) -> int:
-        return self.sim.lanes_done(done_signal, done_value)
-
-    def lane_state_snapshot(self, active: int) -> list[int]:
-        return self.sim.lane_state_snapshot(active)

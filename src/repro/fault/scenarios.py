@@ -89,7 +89,7 @@ def expocu_injector(flow: str, hardening: str = "none", side: int = 8,
     """
     if flow == "rtl" and backend != "event":
         raise ValueError(
-            "the compiled evaluator backend operates on the netlist flow "
+            f"the {backend!r} gate evaluator operates on the netlist flow "
             "(--flow netlist); RTL injection is always event-driven"
         )
     if flow == "rtl" and hardening != "none":

@@ -128,9 +128,10 @@ class _CompiledEngine:
     """The code-generated evaluator functions for one circuit.
 
     ``settle(v)``            full combinational settle, straight-line;
-    ``settle_forced(v, f)``  same, clamping the slots present in *f*
-                             (the fault subsystem's forcing) with
-                             per-slot ``(keep, value)`` mask pairs;
+    ``settle_clamped(v, f)`` same, clamping the slots present in *f*
+                             (the fault subsystem's stuck-ats and
+                             glitches) with per-slot ``(keep, value)``
+                             mask pairs;
     ``commit(v)``            simultaneous flop commit (one tuple
                              assignment: every D is read before any Q
                              is written);
@@ -143,16 +144,16 @@ class _CompiledEngine:
     ``set_mask(m)``          rebind the generated namespace's all-lanes
                              mask ``M`` (1 = scalar mode).
 
-    A forced slot's settled expression becomes ``expr & keep | value``,
+    A clamped slot's settled expression becomes ``expr & keep | value``,
     so on a wide engine individual lanes are clamped while the others
     evaluate freely; a scalar clamp is the degenerate pair
     ``(0, value)``.
     """
 
-    __slots__ = ("settle", "settle_forced", "commit", "peek", "source",
+    __slots__ = ("settle", "settle_clamped", "commit", "peek", "source",
                  "peek_lane", "namespace", "spec_lines", "spec_index")
 
-    def __init__(self, settle: Callable, settle_forced: Callable,
+    def __init__(self, settle: Callable, settle_clamped: Callable,
                  commit: Callable, peek: Callable, source: str,
                  peek_lane: Callable | None = None,
                  namespace: dict | None = None,
@@ -160,7 +161,7 @@ class _CompiledEngine:
                  spec_index: dict[int, tuple[int, str]] | None = None,
                  ) -> None:
         self.settle = settle
-        self.settle_forced = settle_forced
+        self.settle_clamped = settle_clamped
         self.commit = commit
         self.peek = peek
         self.source = source
@@ -175,28 +176,28 @@ class _CompiledEngine:
             raise NetlistError("set_mask() needs a lane-parallel engine")
         self.namespace["M"] = mask
 
-    def specialize_forced(self, forces: dict[int, tuple[int, int]]
-                          ) -> Callable:
-        """Compile a settle with *forces* baked in as literal clamps.
+    def specialize_clamped(self, clamps: dict[int, tuple[int, int]]
+                           ) -> Callable:
+        """Compile a settle with *clamps* baked in as literals.
 
-        ``settle_forced`` pays a per-line membership test against the
-        forcing dict on every call; for a force set that stays fixed
+        ``settle_clamped`` pays a per-line membership test against the
+        clamp dict on every call; for a clamp set that stays fixed
         over many steps (a lane batch draining toward quiescence, or
         the stimulus tail after the last lane activates) that test is
         pure overhead.  This regenerates the settle with the handful of
         clamped lines rewritten as ``(expr) & keep | value`` literals —
-        as fast as the plain settle.  Forced slots that are not cell
+        as fast as the plain settle.  Clamped slots that are not cell
         outputs (flop state, primary inputs) need no settle-line clamp:
-        the settle never writes them, so their forced value persists.
+        the settle never writes them, so their clamped value persists.
         The function is compiled into the engine's own namespace, so
         the all-lanes mask ``M`` stays live.
         """
         if self.spec_lines is None or self.spec_index is None:
             raise NetlistError(
-                "specialize_forced() needs a lane-parallel engine"
+                "specialize_clamped() needs a lane-parallel engine"
             )
         lines = list(self.spec_lines)
-        for out, (keep, val) in forces.items():
+        for out, (keep, val) in clamps.items():
             entry = self.spec_index.get(out)
             if entry is None:
                 continue
@@ -218,11 +219,11 @@ def compile_engine(circuit: Circuit, order: list[Cell],
     global ``M`` (initially 1, i.e. scalar mode), and a ``peek_lane``
     extractor is added.  ``peek`` itself stays the scalar extractor —
     it is only meaningful while ``M == 1``.  Both variants share one
-    ``settle_forced`` form over ``(keep, value)`` clamps.
+    ``settle_clamped`` form over ``(keep, value)`` clamps.
     """
     cell_expr = _cell_expr_wide if wide else _cell_expr
     settle_lines: list[str] = []
-    forced_lines: list[str] = []
+    clamped_lines: list[str] = []
     spec_index: dict[int, tuple[int, str]] = {}
     for cell in order:
         out = slot[cell.pins[cell.ctype.outputs[0]].uid]
@@ -230,7 +231,7 @@ def compile_engine(circuit: Circuit, order: list[Cell],
         expr = cell_expr(cell.ctype.name, ins)
         spec_index[out] = (len(settle_lines), expr)
         settle_lines.append(f"    v[{out}] = {expr}")
-        forced_lines.append(
+        clamped_lines.append(
             f"    v[{out}] = ({expr}) if {out} not in f "
             f"else (({expr}) & f[{out}][0] | f[{out}][1])"
         )
@@ -259,8 +260,8 @@ def compile_engine(circuit: Circuit, order: list[Cell],
         "def settle(v):",
         *(settle_lines or ["    pass"]),
         "",
-        "def settle_forced(v, f):",
-        *(forced_lines or ["    pass"]),
+        "def settle_clamped(v, f):",
+        *(clamped_lines or ["    pass"]),
         "",
         "def commit(v):",
         *commit_lines,
@@ -280,7 +281,7 @@ def compile_engine(circuit: Circuit, order: list[Cell],
     namespace: dict = {}
     exec(compile(source, f"<{tag}:{circuit.name}>", "exec"), namespace)
     return _CompiledEngine(
-        namespace["settle"], namespace["settle_forced"],
+        namespace["settle"], namespace["settle_clamped"],
         namespace["commit"], namespace["peek"], source,
         peek_lane=namespace.get("peek_lane"),
         namespace=namespace if wide else None,

@@ -112,9 +112,10 @@ class JobSpec:
 def make_spec(kind: str, params: Mapping[str, Any] | None = None) -> JobSpec:
     """Validate *kind* / *params* and return a canonical :class:`JobSpec`.
 
-    Unknown kinds, unknown parameter names, wrong types and
-    out-of-range choices all raise :class:`JobError` with a message
-    naming the offender — the server maps these to HTTP 400.
+    Unknown kinds, unknown parameter names, wrong types, out-of-range
+    choices and inject options the RTL flow cannot run (a hardening or
+    a gate backend) all raise :class:`JobError` with a message naming
+    the offender — the server maps these to HTTP 400, the CLI to exit 2.
     """
     schema = JOB_PARAMS.get(kind)
     if schema is None:
@@ -142,6 +143,15 @@ def make_spec(kind: str, params: Mapping[str, Any] | None = None) -> JobSpec:
                 raise JobError(f"{kind}.{name} must be an integer, "
                                f"got {value!r}")
         complete[name] = value
+    if kind == "inject" and complete["flow"] == "rtl":
+        if complete["hardening"] != "none":
+            raise JobError("inject.hardening operates on the netlist flow "
+                           "(flow 'netlist'); the RTL flow is always "
+                           "unhardened")
+        if complete["backend"] != "event":
+            raise JobError("inject.backend selects the gate evaluator of "
+                           "the netlist flow (flow 'netlist'); RTL "
+                           "injection is always event-driven")
     return JobSpec(kind, complete)
 
 

@@ -90,7 +90,14 @@ class ServeHandler(BaseHTTPRequestHandler):
         self._send(status, (json.dumps(doc, indent=2) + "\n").encode())
 
     def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:  # rfile.read(-1) would block until the client hangs up
+            raise JobError("Content-Length must be a non-negative integer, "
+                           f"got {header!r}")
         if length > MAX_BODY_BYTES:
             raise JobError(f"request body too large ({length} bytes)")
         raw = self.rfile.read(length) if length else b""

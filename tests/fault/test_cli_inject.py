@@ -50,22 +50,31 @@ class TestFormats:
         assert json.loads(report.read_text())["seed"] == 1
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ") and err.count("\n") == 1
+    return err
+
+
 class TestUsageErrors:
-    def test_rtl_flow_rejects_hardening(self, tmp_path, monkeypatch):
+    def test_rtl_flow_rejects_hardening(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="netlist"):
-            main(["inject", "--flow", "rtl", "--hardening", "tmr",
-                  "--faults", "0"])
+        assert main(["inject", "--flow", "rtl", "--hardening", "tmr",
+                     "--faults", "0"]) == 2
+        assert "hardening operates on the netlist flow" in \
+            _one_line_error(capsys)
 
     def test_unknown_hardening_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             main(["inject", "--hardening", "ecc"])
 
-    def test_rtl_flow_rejects_compiled_backend(self, tmp_path, monkeypatch):
+    def test_rtl_flow_rejects_compiled_backend(self, tmp_path, monkeypatch,
+                                               capsys):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match="netlist"):
-            main(["inject", "--flow", "rtl", "--backend", "compiled",
-                  "--faults", "0"])
+        assert main(["inject", "--flow", "rtl", "--backend", "compiled",
+                     "--faults", "0"]) == 2
+        assert "backend selects the gate evaluator of the netlist flow" in \
+            _one_line_error(capsys)
 
     def test_unknown_backend_is_a_usage_error(self):
         with pytest.raises(SystemExit):

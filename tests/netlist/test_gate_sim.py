@@ -148,7 +148,7 @@ class TestCompiledBackend:
         sim = GateSimulator(pipeline_circuit(), backend="compiled")
         source = sim.compiled_source
         assert "def settle(v):" in source
-        assert "def settle_forced(v, f):" in source
+        assert "def settle_clamped(v, f):" in source
         assert "def commit(v):" in source
         assert "def peek(v):" in source
         # One assignment per combinational cell, no loops.

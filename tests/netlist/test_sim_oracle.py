@@ -151,6 +151,57 @@ class TestFourWayOracle:
         for entry in stim[5:]:
             assert event.step(**entry) == compiled.step(**entry)
 
+    @pytest.mark.parametrize("seed", (2, 6, 11))
+    def test_transient_flips_agree_across_backends(self, seed):
+        """One-step glitches on combinational and input nets, at ``M == 1``.
+
+        Every other cycle the three backends flip the same net — alone
+        at first, then beside a stuck-at forced on that net in the same
+        cycle — and must give the same outputs right after the
+        injection, on every step and after it, once each glitch has
+        expired and the forces are released.
+        """
+        rng = random.Random(seed + 41)
+        circuit = random_circuit(seed)
+        sims = [FaultableGateSimulator(circuit, backend=backend)
+                for backend in ("event", "compiled", "bitparallel")]
+        targets = [cell.pins["y"] for cell in circuit.comb_cells()]
+        targets += circuit.input_buses["x"]
+        for cycle, entry in enumerate(_stimulus(seed, 4, cycles=36)):
+            if 4 <= cycle < 28 and cycle % 2 == 0:
+                net = rng.choice(targets)
+                value = rng.randrange(2)
+                for sim in sims:
+                    if cycle >= 16:
+                        sim.force_net(net, value)
+                    sim.flip_net(net)
+                peeks = [sim.peek_outputs() for sim in sims]
+                assert peeks[0] == peeks[1] == peeks[2], f"cycle {cycle}"
+            if cycle == 28:
+                for sim in sims:
+                    sim.release_all()
+            outs = [sim.step(**entry) for sim in sims]
+            assert outs[0] == outs[1] == outs[2], f"cycle {cycle}"
+            peeks = [sim.peek_outputs() for sim in sims]
+            assert peeks[0] == peeks[1] == peeks[2], f"cycle {cycle}"
+
+    @pytest.mark.parametrize("backend", ("event", "compiled", "bitparallel"))
+    def test_release_heals_clamped_inputs(self, backend):
+        """After ``release_all`` input nets read their driven bits at once."""
+        circuit = random_circuit(2)
+        sim = FaultableGateSimulator(circuit, backend=backend)
+        twin = FaultableGateSimulator(circuit, backend=backend)
+        stim = _stimulus(2, 4, cycles=3)
+        for entry in stim:
+            sim.step(**entry)
+            twin.step(**entry)
+        x0, x1 = circuit.input_buses["x"][:2]
+        sim.force_net(x0, (stim[-1]["x"] & 1) ^ 1)
+        sim.flip_net(x1)
+        sim.release_all()
+        assert sim.peek_outputs() == twin.peek_outputs()
+        assert sim.snapshot_state() == twin.snapshot_state()
+
 
 class TestCompiledBackendSurface:
     def test_unknown_backend_rejected(self):
@@ -198,7 +249,7 @@ class TestConstantNetEncapsulation:
             sim.force_net(zero, 1)
         with pytest.raises(NetlistError, match="constant net"):
             sim.flip_net(zero)
-        assert not sim._forced
+        assert not sim._clamps
 
 
 def _forceable_nets(circuit):
@@ -243,7 +294,7 @@ class TestLanePacking:
                 sim.step(**entry)
         wide.begin_lanes(n_lanes)
         for lane, (net, value) in enumerate(picks):
-            wide.force_net_lane(net, value, lane)
+            wide.force_net(net, value, lane)
             scalars[lane].force_net(net, value)
         for entry in stim[4:]:
             wide.step_lanes(entry)
@@ -276,7 +327,7 @@ class TestLanePacking:
         for cycle, entry in enumerate(stim[5:], start=5):
             for lane, (net, value, at) in enumerate(picks):
                 if at == cycle:
-                    wide.force_net_lane(net, value, lane)
+                    wide.force_net(net, value, lane)
                     scalars[lane].force_net(net, value)
             wide.step_lanes(entry)
             lane_outs = [wide.peek_lane_outputs(lane)
@@ -287,13 +338,15 @@ class TestLanePacking:
 
     @pytest.mark.parametrize("seed", (1, 4, 9))
     def test_flips_beside_forces_match_scalar_twins(self, seed):
-        """Lane flips (``flip_net_lane``) mixed with lane stuck-ats.
+        """Lane flips (``flip_net(net, lane)``) mixed with lane stuck-ats.
 
         Each lane carries a stuck-at or a flip on any faultable net —
         primary input, combinational output or flop output — from its
-        own cycle on.  Outputs must match the scalar twin's before the
-        commit (the classifier's observation point) and after it, once
-        a glitch has expired and a glitched input has been healed.
+        own cycle on; in further lanes a net is flipped twice in one
+        cycle, which restores it.  Outputs must match the scalar twin's
+        before the commit (the classifier's observation point) and
+        after it, once a glitch has expired and a glitched input has
+        been healed.
         """
         rng = random.Random(seed + 31)
         circuit = random_circuit(seed)
@@ -305,6 +358,9 @@ class TestLanePacking:
         picks += [(rng.choice(forceable), rng.choice(("sa0", "sa1", "flip")),
                    rng.randrange(5, 10)) for _ in range(12)]
         assert {kind for _, kind, _ in picks} == {"sa0", "sa1", "flip"}
+        picks += [(net, "flip2", rng.randrange(5, 10))
+                  for net in circuit.input_buses["x"]
+                  + rng.sample(forceable, 4)]
         n_lanes = len(picks)
         stim = _stimulus(seed, 4, cycles=16)
 
@@ -320,11 +376,12 @@ class TestLanePacking:
             for lane, (net, kind, at) in enumerate(picks):
                 if at != cycle:
                     continue
-                if kind == "flip":
-                    wide.flip_net_lane(net, lane)
-                    scalars[lane].flip_net(net)
+                if kind in ("flip", "flip2"):
+                    for _ in range(2 if kind == "flip2" else 1):
+                        wide.flip_net(net, lane)
+                        scalars[lane].flip_net(net)
                 else:
-                    wide.force_net_lane(net, kind == "sa1", lane)
+                    wide.force_net(net, kind == "sa1", lane)
                     scalars[lane].force_net(net, kind == "sa1")
             wide.step_lanes(entry)
             before = [wide.peek_lane_outputs(lane)
@@ -348,7 +405,7 @@ class TestLanePacking:
             wide.step(**entry)
             scalar.step(**entry)
         wide.begin_lanes(4)
-        wide.force_net_lane(forceable[0], 1, 2)  # lane 2 only
+        wide.force_net(forceable[0], 1, 2)  # lane 2 only
         for entry in stim[4:8]:
             wide.step_lanes(entry)
             wide.commit_lanes()

@@ -199,10 +199,10 @@ class TestExpoCuBackendComparison:
         event, compiled = stats["event"], stats["compiled"]
         # The headline inequality, plus its explanation: the event
         # backend pays an interpreted dispatch per woken cell; the
-        # compiled backend only pays a few at fault-injection instants
-        # (force_net/flip_net propagate the fault cone interpretively).
+        # compiled backend pays none, even at fault-injection instants
+        # (force_net/flip_net only mark its settle stale).
         assert compiled["cell_evals"] < event["cell_evals"]
-        assert compiled["cell_evals"] < compiled["cells"]
+        assert compiled["cell_evals"] == 0
         assert event["cell_evals"] > event["steps"]
         assert compiled["fast_commits"] > 0
         # Same campaign, same verdicts, regardless of backend.

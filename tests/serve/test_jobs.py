@@ -63,6 +63,15 @@ class TestMakeSpec:
         with pytest.raises(JobError, match="inject.collapse must be"):
             make_spec("inject", {"collapse": 1})
 
+    @pytest.mark.parametrize("params, match", [
+        ({"hardening": "tmr"}, "inject.hardening operates on the netlist"),
+        ({"backend": "bitparallel"}, "inject.backend selects the gate"),
+    ])
+    def test_rtl_inject_rejects_netlist_options(self, params, match):
+        with pytest.raises(JobError, match=match):
+            make_spec("inject", {"flow": "rtl", **params})
+        make_spec("inject", {"flow": "netlist", **params})
+
 
 class TestFingerprint:
     def test_stable_across_param_order_and_defaults(self):

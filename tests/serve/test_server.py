@@ -10,6 +10,7 @@ identical submissions pay for the stage work exactly once.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -53,6 +54,18 @@ def served(tmp_path_factory):
         scheduler.stop()
 
 
+def _raw_request(socket_path: str, request: bytes) -> bytes:
+    """Send raw bytes to the server; everything it answers within 5 s."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(5.0)
+        sock.connect(socket_path)
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
 class TestEndpoints:
     def test_health(self, served):
         doc = served.client.health()
@@ -87,6 +100,22 @@ class TestEndpoints:
         before = len(served.client.jobs())
         served.client.submit("build", {"flow": "osss"})
         assert len(served.client.jobs()) >= before
+
+    def test_submit_rejects_rtl_inject_with_hardening(self, served):
+        with pytest.raises(ServeError) as excinfo:
+            served.client.submit("inject", {"flow": "rtl",
+                                            "hardening": "tmr"})
+        assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("length", [b"-1", b"abc"])
+    def test_bad_content_length_is_400(self, served, length):
+        body = b'{"kind": "build"}'
+        reply = _raw_request(
+            served.socket_path,
+            b"POST /jobs HTTP/1.0\r\nContent-Type: application/json\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n" + body)
+        assert reply.startswith(b"HTTP/1.0 400 ")
+        assert b"Content-Length must be a non-negative integer" in reply
 
 
 class TestByteIdentity:
