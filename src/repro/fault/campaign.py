@@ -732,20 +732,27 @@ class _CampaignSession:
     cross-worker consistency contract: every session must reproduce the
     identical golden run or the campaign refuses to merge results.
 
+    The session takes the *faults* its tasks will replay.  Before the
+    golden run it declares them to the injector (``declare_faults``),
+    so a gate engine guards every fault site in its generated settle
+    once, not in mid-replay, and it checkpoints the golden run at cycle
+    0 and at every fault's injection cycle.
+
     ``jobs=1`` builds the session in the parent on the caller's
     injector and *tracer*, so each task gets its own span; worker
     processes build theirs via :func:`_worker_session` and trace
     nothing (the pool records one rollup span per worker).
     """
 
-    def __init__(self, injector, stimulus, snap_cycles, config,
+    def __init__(self, injector, stimulus, faults, config,
                  tracer: Tracer = NULL_TRACER):
         self.injector = injector
         self.stimulus = stimulus
         self.config = config
         self.tracer = tracer
+        injector.declare_faults(faults)
         self.golden = _golden_run(injector, stimulus, config,
-                                  set(snap_cycles))
+                                  {fault.cycle for fault in faults} | {0})
         self.meta = _golden_meta(injector, self.golden)
 
     @staticmethod
@@ -784,15 +791,14 @@ class _CampaignSession:
         return _sim_stats(self.injector)
 
 
-def _worker_session(injector_factory, stimulus, snap_cycles,
+def _worker_session(injector_factory, stimulus, faults,
                     config) -> _CampaignSession:
     """A worker process's session, on an injector of its own.
 
     Module-level so ``functools.partial`` over it pickles under every
     multiprocessing start method.
     """
-    return _CampaignSession(injector_factory(), stimulus, snap_cycles,
-                            config)
+    return _CampaignSession(injector_factory(), stimulus, faults, config)
 
 
 def _campaign_fingerprint(design: str, hardening: str, seed: int,
@@ -1100,13 +1106,12 @@ def run_campaign(
             # tasks — none at all still builds one session, whose golden
             # run supplies the report header's facts.
             if tasks or meta is None:
-                snap_cycles = tuple(sorted(
-                    {sim_faults[k].cycle for k in pending} | {0}))
+                pending_faults = tuple(sim_faults[k] for k in pending)
                 session: _CampaignSession | None = None
                 if jobs == 1:
                     with tracer.span("golden") as golden_span:
                         session = _CampaignSession(injector, stimulus,
-                                                   snap_cycles, config,
+                                                   pending_faults, config,
                                                    tracer)
                     golden_span.annotate(
                         selfcheck=session.golden.selfcheck,
@@ -1116,7 +1121,7 @@ def run_campaign(
                 pool = SupervisedPool(
                     (lambda: session) if session is not None
                     else functools.partial(_worker_session, injector_factory,
-                                           stimulus, snap_cycles, config),
+                                           stimulus, pending_faults, config),
                     jobs,
                     task_timeout=fault_timeout,
                     max_retries=max(0, int(max_retries)),

@@ -18,6 +18,10 @@ Both injectors speak the same small protocol the campaign engine
 ``seu_targets()``          deterministic ``(name, width)`` state bits;
 ``net_targets()``          deterministic net names for stuck-at/transient
                            faults (empty at RTL level);
+``declare_faults(faults)`` announce the faults a campaign will inject,
+                           before its golden run (the gate injector
+                           guards their sites in the generated settle;
+                           a no-op at RTL level);
 ``record_golden()``        record the golden run from the next step on;
 ``follow_golden()``        end the recording, which replays then follow
                            (``False`` if the self-check's re-steps did
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.netlist.circuit import Circuit, Net, NetlistError
 from repro.netlist.sim import GateSimulator
@@ -196,6 +200,9 @@ class RtlFaultInjector:
     def clear_faults(self) -> None:
         """SEUs are one-shot state flips; nothing persists."""
 
+    def declare_faults(self, faults) -> None:
+        """Nothing to prepare: a register flip needs no guard."""
+
     # -- direct API ----------------------------------------------------
     def flip_register(self, name: str, bit: int) -> int:
         """Flip one bit of a register; returns the new raw contents."""
@@ -300,37 +307,24 @@ class FaultableGateSimulator(GateSimulator):
     flop commit.  ``_clamps`` composes the two, a stuck-at winning on
     the lanes it pins.  Every backend clamps from it where net values
     are written — input drive, combinational evaluation (the event
-    engine's ``_eval``, the generated ``settle_clamped``) and flop
-    commit — and ends each step in :meth:`_post_commit`; with no clamp
-    set, steps are the base simulator's.  So under every backend the
-    flops sample a glitch exactly once, and a flop-output flip (a state
-    upset) persists until the next commit overwrites it.
+    engine's ``_eval``, the generated engines' one ``settle``) and flop
+    commit — and ends each step in :meth:`_post_commit`.  So under
+    every backend the flops sample a glitch exactly once, and a
+    flop-output flip (a state upset) persists until the next commit
+    overwrites it.
+
+    The generated settle applies a clamp only on the slots it guards.
+    :meth:`_pin`, the one place a mask is set, guards a combinational
+    output the settle does not guard yet, which regenerates the settle
+    once per new site; a campaign guards its fault sites ahead of the
+    golden run (:meth:`guard_nets`), so no replay pays for that.
     """
 
-    #: Lane steps with an unchanged force set before the wide engine
-    #: recompiles the settle with the clamps baked in as literals
-    #: (:meth:`~repro.netlist.sim._CompiledEngine.specialize_clamped`).
-    #: High enough that the stimulus phase, where lanes activate every
-    #: few cycles, almost never compiles; low enough that a long drain
-    #: amortizes the one-time compile within a few dozen steps.
-    SPEC_AFTER = 32
-
     def __init__(self, circuit: Circuit, backend: str = "event") -> None:
-        # Before super().__init__: the base constructor settles the
-        # circuit through our clamped _eval, which reads these.
         #: slot -> (keep, value) stuck-at masks, held until release_all().
         self._force_masks: dict[int, tuple[int, int]] = {}
         #: slot -> (keep, value) one-step glitches, until the next commit.
         self._glitch_masks: dict[int, tuple[int, int]] = {}
-        #: Both tables composed: the clamps every engine applies.
-        self._clamps: dict[int, tuple[int, int]] = {}
-        #: Wide-settle specialization state: once the same force set has
-        #: been lane-stepped SPEC_AFTER times in a row, the engine
-        #: recompiles the settle with the clamps baked in as literals.
-        self._forces_version = 0
-        self._spec_version = -1
-        self._spec_streak = 0
-        self._spec_settle = None
         super().__init__(circuit, backend=backend)
         self._flop_q_set = frozenset(self._flop_q)
         self._in_bit: dict[int, tuple[str, int]] = {
@@ -363,7 +357,6 @@ class FaultableGateSimulator(GateSimulator):
             keep, val = clamps.get(net_slot, (self._lane_mask, 0))
             clamps[net_slot] = (keep & g_keep, val | g_val & keep)
         self._clamps = clamps
-        self._forces_version += 1
 
     def _lane_bit(self, lane: int) -> int:
         if not 0 <= lane < self._lanes:
@@ -374,10 +367,25 @@ class FaultableGateSimulator(GateSimulator):
 
     def _pin(self, masks: dict[int, tuple[int, int]], net_slot: int,
              bit: int, value_bit: int) -> None:
-        """Pin lane *bit* of *net_slot* to *value_bit*, and only that lane."""
+        """Pin lane *bit* of *net_slot* to *value_bit*, and only that lane.
+
+        Also guards the slot in the generated settle if it is not yet.
+        """
+        if self._compiled is not None:
+            self._compiled.guard((net_slot,))
         keep, val = masks.get(net_slot, (self._lane_mask, 0))
         masks[net_slot] = (keep & ~bit, val & ~bit | value_bit)
         self._compose()
+
+    def guard_nets(self, nets: Iterable[Net]) -> None:
+        """Guard *nets* in the generated settle before any fault pins them.
+
+        One regeneration covers them all, where pinning them one by one
+        would regenerate once per new site.  Only combinational outputs
+        take a guard; a no-op on the event engine.
+        """
+        if self._compiled is not None:
+            self._compiled.guard([self._slot_of(net) for net in nets])
 
     def _write(self, net_slot: int, value: int) -> None:
         """Write one slot between steps; the nets it drives follow."""
@@ -465,8 +473,9 @@ class FaultableGateSimulator(GateSimulator):
         Re-applies the stuck-at masks the commit overwrote (a no-op on
         the event engine, whose commit clamps as it writes), expires the
         glitches and heals glitched primary inputs.  The generated
-        engines re-settle lazily; the event engine settles every cell
-        once, so a healed glitch reaches the nets it drove.
+        engines end every step here (with no mask set it changes
+        nothing) and re-settle lazily; the event engine settles every
+        cell once, so a healed glitch reaches the nets it drove.
         """
         values = self._values
         for net_slot, (keep, val) in self._force_masks.items():
@@ -481,14 +490,6 @@ class FaultableGateSimulator(GateSimulator):
             self._stale = True
 
     # -- clamped write points -----------------------------------------
-    def _settle_all(self) -> None:
-        if self._compiled is not None and self._clamps:
-            self._n_settles += 1
-            self._compiled.settle_clamped(self._values, self._clamps)
-            self._stale = False
-            return
-        super()._settle_all()
-
     def _eval(self, cell) -> bool:
         out = self._cell_out[cell.uid]
         clamp = self._clamps.get(out)
@@ -535,17 +536,7 @@ class FaultableGateSimulator(GateSimulator):
         return outputs
 
     def _step_compiled(self, buses) -> dict[str, int]:
-        if not self._clamps:
-            return super()._step_compiled(buses)
-        self.drive(**buses)  # re-applies input clamps
-        engine = self._compiled
-        values = self._values
-        engine.settle_clamped(values, self._clamps)
-        self._n_settles += 1
-        outputs = engine.peek(values)
-        engine.commit(values)
-        self._n_fast_commits += 1
-        self.cycle += 1
+        outputs = super()._step_compiled(buses)
         self._post_commit()
         return outputs
 
@@ -576,23 +567,7 @@ class FaultableGateSimulator(GateSimulator):
         if self._lanes == 1:
             raise NetlistError("step_lanes() needs begin_lanes() first")
         self.drive(**dict(entry))
-        clamps = self._clamps
-        if clamps:
-            if self._spec_version != self._forces_version:
-                self._spec_version = self._forces_version
-                self._spec_streak = 0
-                self._spec_settle = None
-            if self._spec_settle is not None:
-                self._spec_settle(self._values)
-            else:
-                self._compiled.settle_clamped(self._values, clamps)
-                self._spec_streak += 1
-                if self._spec_streak >= self.SPEC_AFTER:
-                    self._spec_settle = (
-                        self._compiled.specialize_clamped(clamps)
-                    )
-        else:
-            self._compiled.settle(self._values)
+        self._compiled.settle(self._values, self._clamps)
         self._n_settles += 1
 
     def commit_lanes(self) -> None:
@@ -803,6 +778,20 @@ class GateFaultInjector:
 
     def clear_faults(self) -> None:
         self.sim.release_all()
+
+    def declare_faults(self, faults) -> None:
+        """Guard the site of every fault that resolves, in one regeneration.
+
+        A fault :meth:`resolve` rejects never pins a net, so it is
+        skipped here; it replays through the scalar classifier.
+        """
+        nets = []
+        for fault in faults:
+            try:
+                nets.append(self.resolve(fault))
+            except (FaultInjectionError, NetlistError):
+                continue
+        self.sim.guard_nets(nets)
 
     def record_golden(self) -> None:
         """Gate replays do not follow the golden run: nothing to record."""

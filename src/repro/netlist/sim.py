@@ -38,7 +38,7 @@ fault-injection campaign engine (:mod:`repro.fault`).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.netlist.circuit import Cell, Circuit, NetlistError
 
@@ -127,11 +127,11 @@ def _cell_expr_wide(name: str, ins: list[int]) -> str:
 class _CompiledEngine:
     """The code-generated evaluator functions for one circuit.
 
-    ``settle(v)``            full combinational settle, straight-line;
-    ``settle_clamped(v, f)`` same, clamping the slots present in *f*
-                             (the fault subsystem's stuck-ats and
-                             glitches) with per-slot ``(keep, value)``
-                             mask pairs;
+    ``settle(v, f)``         full combinational settle, straight-line;
+                             each *guarded* slot present in the clamp
+                             table *f* (the fault subsystem's stuck-ats
+                             and glitches) is clamped with its per-slot
+                             ``(keep, value)`` mask pair;
     ``commit(v)``            simultaneous flop commit (one tuple
                              assignment: every D is read before any Q
                              is written);
@@ -144,69 +144,64 @@ class _CompiledEngine:
     ``set_mask(m)``          rebind the generated namespace's all-lanes
                              mask ``M`` (1 = scalar mode).
 
-    A clamped slot's settled expression becomes ``expr & keep | value``,
-    so on a wide engine individual lanes are clamped while the others
-    evaluate freely; a scalar clamp is the degenerate pair
-    ``(0, value)``.
+    A guarded slot's line reads ``v[o] = (expr) if o not in f else
+    (expr) & f[o][0] | f[o][1]``, so on a wide engine individual lanes
+    are clamped while the others evaluate freely (a scalar clamp is the
+    degenerate pair ``(0, value)``); every other line is a plain
+    assignment.  Nothing is guarded at first: :meth:`guard` grows the
+    set and regenerates the settle alone into the engine's own
+    namespace, so a wide engine's ``M`` stays live.
     """
 
-    __slots__ = ("settle", "settle_clamped", "commit", "peek", "source",
-                 "peek_lane", "namespace", "spec_lines", "spec_index")
+    __slots__ = ("settle", "commit", "peek", "peek_lane", "source",
+                 "namespace", "guarded", "_exprs", "_rest", "_filename")
 
-    def __init__(self, settle: Callable, settle_clamped: Callable,
-                 commit: Callable, peek: Callable, source: str,
-                 peek_lane: Callable | None = None,
-                 namespace: dict | None = None,
-                 spec_lines: list[str] | None = None,
-                 spec_index: dict[int, tuple[int, str]] | None = None,
-                 ) -> None:
-        self.settle = settle
-        self.settle_clamped = settle_clamped
-        self.commit = commit
-        self.peek = peek
-        self.source = source
-        self.peek_lane = peek_lane
-        self.namespace = namespace
-        self.spec_lines = spec_lines
-        self.spec_index = spec_index
+    def __init__(self, exprs: dict[int, str], rest: str,
+                 filename: str) -> None:
+        #: Combinational output slot -> its cell expression, in
+        #: topological order.
+        self._exprs = exprs
+        self._rest = rest
+        self._filename = filename
+        #: The output slots whose settle line applies a clamp.
+        self.guarded: frozenset[int] = frozenset()
+        self.namespace: dict = {}
+        exec(compile(rest, filename, "exec"), self.namespace)
+        self.commit = self.namespace["commit"]
+        self.peek = self.namespace["peek"]
+        self.peek_lane = self.namespace.get("peek_lane")
+        self._compile_settle()
+
+    def _compile_settle(self) -> None:
+        lines = [
+            f"    v[{out}] = ({expr}) if {out} not in f "
+            f"else ({expr}) & f[{out}][0] | f[{out}][1]"
+            if out in self.guarded else f"    v[{out}] = {expr}"
+            for out, expr in self._exprs.items()
+        ]
+        settle = "\n".join(["def settle(v, f):", *(lines or ["    pass"]),
+                            ""])
+        exec(compile(settle, self._filename, "exec"), self.namespace)
+        self.settle = self.namespace["settle"]
+        self.source = self._rest + settle
+
+    def guard(self, slots: Iterable[int]) -> None:
+        """Guard the combinational-output slots among *slots*.
+
+        Regenerates the settle if any of them is new.  Other slots need
+        no guard: the settle never writes a flop output or a primary
+        input, so a clamp there persists by itself.
+        """
+        new = {s for s in slots if s in self._exprs} - self.guarded
+        if new:
+            self.guarded |= new
+            self._compile_settle()
 
     def set_mask(self, mask: int) -> None:
         """Set the all-lanes mask ``M`` of a wide engine."""
-        if self.namespace is None:
+        if self.peek_lane is None:
             raise NetlistError("set_mask() needs a lane-parallel engine")
         self.namespace["M"] = mask
-
-    def specialize_clamped(self, clamps: dict[int, tuple[int, int]]
-                           ) -> Callable:
-        """Compile a settle with *clamps* baked in as literals.
-
-        ``settle_clamped`` pays a per-line membership test against the
-        clamp dict on every call; for a clamp set that stays fixed
-        over many steps (a lane batch draining toward quiescence, or
-        the stimulus tail after the last lane activates) that test is
-        pure overhead.  This regenerates the settle with the handful of
-        clamped lines rewritten as ``(expr) & keep | value`` literals —
-        as fast as the plain settle.  Clamped slots that are not cell
-        outputs (flop state, primary inputs) need no settle-line clamp:
-        the settle never writes them, so their clamped value persists.
-        The function is compiled into the engine's own namespace, so
-        the all-lanes mask ``M`` stays live.
-        """
-        if self.spec_lines is None or self.spec_index is None:
-            raise NetlistError(
-                "specialize_clamped() needs a lane-parallel engine"
-            )
-        lines = list(self.spec_lines)
-        for out, (keep, val) in clamps.items():
-            entry = self.spec_index.get(out)
-            if entry is None:
-                continue
-            idx, expr = entry
-            lines[idx] = f"    v[{out}] = ({expr}) & {keep} | {val}"
-        source = "def settle_spec(v):\n" + "\n".join(lines or ["    pass"])
-        exec(compile(source, "<bitparallel:specialized>", "exec"),
-             self.namespace)
-        return self.namespace.pop("settle_spec")
 
 
 def compile_engine(circuit: Circuit, order: list[Cell],
@@ -218,23 +213,16 @@ def compile_engine(circuit: Circuit, order: list[Cell],
     expressions come from :func:`_cell_expr_wide` over the namespace
     global ``M`` (initially 1, i.e. scalar mode), and a ``peek_lane``
     extractor is added.  ``peek`` itself stays the scalar extractor —
-    it is only meaningful while ``M == 1``.  Both variants share one
-    ``settle_clamped`` form over ``(keep, value)`` clamps.
+    it is only meaningful while ``M == 1``.  Both variants generate one
+    ``settle(v, f)``, guarded at no slot until
+    :meth:`_CompiledEngine.guard` adds some.
     """
     cell_expr = _cell_expr_wide if wide else _cell_expr
-    settle_lines: list[str] = []
-    clamped_lines: list[str] = []
-    spec_index: dict[int, tuple[int, str]] = {}
-    for cell in order:
-        out = slot[cell.pins[cell.ctype.outputs[0]].uid]
-        ins = [slot[n.uid] for n in cell.input_nets()]
-        expr = cell_expr(cell.ctype.name, ins)
-        spec_index[out] = (len(settle_lines), expr)
-        settle_lines.append(f"    v[{out}] = {expr}")
-        clamped_lines.append(
-            f"    v[{out}] = ({expr}) if {out} not in f "
-            f"else (({expr}) & f[{out}][0] | f[{out}][1])"
-        )
+    exprs = {
+        slot[cell.pins[cell.ctype.outputs[0]].uid]: cell_expr(
+            cell.ctype.name, [slot[n.uid] for n in cell.input_nets()])
+        for cell in order
+    }
     if flops:
         lhs = ", ".join(f"v[{slot[f.pins['q'].uid]}]" for f in flops)
         rhs = ", ".join(f"v[{slot[f.pins['d'].uid]}]" for f in flops)
@@ -257,12 +245,6 @@ def compile_engine(circuit: Circuit, order: list[Cell],
         lane_items.append(f"{name!r}: {' | '.join(lane_bits) or '0'}")
     lines = [
         *(["M = 1", ""] if wide else []),
-        "def settle(v):",
-        *(settle_lines or ["    pass"]),
-        "",
-        "def settle_clamped(v, f):",
-        *(clamped_lines or ["    pass"]),
-        "",
         "def commit(v):",
         *commit_lines,
         "",
@@ -276,18 +258,9 @@ def compile_engine(circuit: Circuit, order: list[Cell],
             "    return {" + ", ".join(lane_items) + "}",
             "",
         ]
-    source = "\n".join(lines)
     tag = "bitparallel" if wide else "compiled"
-    namespace: dict = {}
-    exec(compile(source, f"<{tag}:{circuit.name}>", "exec"), namespace)
-    return _CompiledEngine(
-        namespace["settle"], namespace["settle_clamped"],
-        namespace["commit"], namespace["peek"], source,
-        peek_lane=namespace.get("peek_lane"),
-        namespace=namespace if wide else None,
-        spec_lines=settle_lines if wide else None,
-        spec_index=spec_index if wide else None,
-    )
+    return _CompiledEngine(exprs, "\n".join(lines),
+                           f"<{tag}:{circuit.name}>")
 
 
 class GateSimulator:
@@ -392,6 +365,9 @@ class GateSimulator:
         #: scalar backends stay at 1 so shared code paths cost nothing).
         self._lanes = 1
         self._lane_mask = 1
+        #: slot -> (keep, value) clamps every settle applies to its
+        #: guarded slots; empty unless the fault subsystem fills it.
+        self._clamps: dict[int, tuple[int, int]] = {}
         self._compiled = (
             compile_engine(circuit, self._order, self._flops, slot,
                            wide=backend == "bitparallel")
@@ -414,7 +390,7 @@ class GateSimulator:
     def _settle_all(self) -> None:
         self._n_settles += 1
         if self._compiled is not None:
-            self._compiled.settle(self._values)
+            self._compiled.settle(self._values, self._clamps)
         else:
             self._n_cell_evals += self._n_cells
             for cell in self._order:
@@ -537,11 +513,6 @@ class GateSimulator:
     # ------------------------------------------------------------------
     # lane-parallel simulation (bitparallel backend)
     # ------------------------------------------------------------------
-    @property
-    def lanes(self) -> int:
-        """Active lane count (1 outside lane-parallel simulation)."""
-        return self._lanes
-
     def begin_lanes(self, n: int) -> None:
         """Widen to *n* independent lanes, each a copy of this state.
 
@@ -631,7 +602,7 @@ class GateSimulator:
         self.drive(**buses)
         engine = self._compiled
         values = self._values
-        engine.settle(values)
+        engine.settle(values, self._clamps)
         self._n_settles += 1
         outputs = engine.peek(values)
         engine.commit(values)

@@ -154,11 +154,22 @@ class _CycleTrace:
         self.sim = sim
         self.scope = scope
         self.writer = VcdWriter(timescale)
-        self._idents: dict[str, str] = {}
+        self._names: set[str] = set()
         self._attached = False
 
-    def _declare(self, name: str, width: int) -> None:
-        self._idents[name] = self.writer.add_var(name, width, self.scope)
+    def _declare(self, name: str, width: int) -> str:
+        """Declare a var; returns its ident.
+
+        A name already declared becomes ``<name>_<k>``, unique against
+        every declared name (the Verilog writer's rule): the
+        synthesizer may give two registers one name.
+        """
+        unique, k = name, 0
+        while unique in self._names:
+            k += 1
+            unique = f"{name}_{k}"
+        self._names.add(unique)
+        return self.writer.add_var(unique, width, self.scope)
 
     def attach(self) -> None:
         """Register the sampling hook; takes an initial sample."""
@@ -205,23 +216,23 @@ class RtlTrace(_CycleTrace):
     def __init__(self, sim: Any, include_registers: bool = False,
                  scope: str = "rtl", timescale: str = "1ns") -> None:
         super().__init__(sim, scope, timescale)
-        for name, expr in sim.module.outputs.items():
-            self._declare(name, expr.spec.width)
-        self._registers = list(sim.registers()) if include_registers else []
-        for reg in self._registers:
-            self._declare(reg.name, reg.spec.width)
+        self._outputs = {name: self._declare(name, expr.spec.width)
+                         for name, expr in sim.module.outputs.items()}
+        #: (register, ident): keyed by register, as names may repeat.
+        self._registers = [
+            (reg, self._declare(reg.name, reg.spec.width))
+            for reg in (sim.registers() if include_registers else ())
+        ]
         self.attach()
 
     def _sample(self) -> None:
         cycle = self.sim.cycle
-        outputs = self.sim.peek_outputs()
         writer = self.writer
-        idents = self._idents
-        for name, value in outputs.items():
+        idents = self._outputs
+        for name, value in self.sim.peek_outputs().items():
             writer.record(cycle, idents[name], value)
-        for reg in self._registers:
-            writer.record(cycle, idents[reg.name],
-                          self.sim.register_value(reg))
+        for reg, ident in self._registers:
+            writer.record(cycle, ident, self.sim.register_value(reg))
 
 
 class GateTrace(_CycleTrace):
@@ -236,23 +247,21 @@ class GateTrace(_CycleTrace):
     def __init__(self, sim: Any, include_flops: bool = False,
                  scope: str = "netlist", timescale: str = "1ns") -> None:
         super().__init__(sim, scope, timescale)
-        for name, nets in sim.circuit.output_buses.items():
-            self._declare(name, len(nets))
-        self._include_flops = include_flops
-        if include_flops:
-            for name in sim.flop_values():
-                self._declare(name, 1)
+        self._outputs = {name: self._declare(name, len(nets))
+                         for name, nets in sim.circuit.output_buses.items()}
+        self._flops = {name: self._declare(name, 1)
+                       for name in (sim.flop_values() if include_flops
+                                    else ())}
         self.attach()
 
     def _sample(self) -> None:
         cycle = self.sim.cycle
         writer = self.writer
-        idents = self._idents
         for name, value in self.sim.peek_outputs().items():
-            writer.record(cycle, idents[name], value)
-        if self._include_flops:
+            writer.record(cycle, self._outputs[name], value)
+        if self._flops:
             for name, value in self.sim.flop_values().items():
-                writer.record(cycle, idents[name], value)
+                writer.record(cycle, self._flops[name], value)
 
 
 def mismatch_window_vcd(

@@ -446,3 +446,50 @@ class TestOneCycleStimulus:
                             seed=seed)
         assert wide.to_json() == oracle.to_json()
         assert len(oracle.records) == 6
+
+
+class TestOneGuardedSettle:
+    """A campaign guards its fault sites once, before the golden run."""
+
+    @pytest.mark.parametrize("backend, n_faults",
+                             (("bitparallel", 32), ("compiled", 8)))
+    def test_no_settle_regenerates_after_the_golden_run_starts(
+            self, backend, n_faults, monkeypatch):
+        import repro.netlist.sim as sim_module
+        from repro.fault import expocu_campaign
+
+        started: list[bool] = []
+        compiles: list[bool] = []
+        real_golden = campaign._golden_run
+
+        def golden_run(*args, **kwargs):
+            started.append(True)
+            return real_golden(*args, **kwargs)
+
+        def spy_compile(*args, **kwargs):
+            compiles.append(bool(started))
+            return compile(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "_golden_run", golden_run)
+        monkeypatch.setattr(sim_module, "compile", spy_compile,
+                            raising=False)
+        result = expocu_campaign(flow="netlist", faults=n_faults, seed=1,
+                                 backend=backend)
+        assert len(result.records) == n_faults
+        assert started == [True]
+        assert compiles and True not in compiles
+
+    def test_fault_timeout_replays_alone_on_the_wide_engine(
+            self, monkeypatch):
+        """With a deadline every fault replays by itself at ``M == 1``."""
+        seed = 11
+        faults = _mixed_list(_make_injector(seed), seed)
+        oracle = run_campaign(_make_injector(seed, "compiled"),
+                              _stimulus(seed), faults, _config(), seed=seed)
+        batches = _spy(monkeypatch, "_classify_batch")
+        wide = run_campaign(_make_injector(seed), _stimulus(seed), faults,
+                            _config(), seed=seed, fault_timeout=60)
+        assert wide.to_json() == oracle.to_json()
+        assert batches == []
+        assert wide.exec_stats["lane_batches"] == 0
+        assert wide.exec_stats["simulated"] == len(set(faults))

@@ -17,6 +17,7 @@ an independent scalar compiled simulator carrying that one fault.
 """
 
 import random
+import re
 
 import pytest
 
@@ -159,7 +160,8 @@ class TestFourWayOracle:
         at first, then beside a stuck-at forced on that net in the same
         cycle — and must give the same outputs right after the
         injection, on every step and after it, once each glitch has
-        expired and the forces are released.
+        expired and the forces are released.  Half the nets are guarded
+        up front; a fault on any other one regenerates the settle.
         """
         rng = random.Random(seed + 41)
         circuit = random_circuit(seed)
@@ -167,9 +169,16 @@ class TestFourWayOracle:
                 for backend in ("event", "compiled", "bitparallel")]
         targets = [cell.pins["y"] for cell in circuit.comb_cells()]
         targets += circuit.input_buses["x"]
+        consts = {net.uid for net in circuit.constant_nets().values()}
+        declared = [net for net in targets[::2] if net.uid not in consts]
+        for sim in sims:
+            sim.guard_nets(declared)
+        guarded = sims[1]._compiled.guarded
+        hit_declared = False
         for cycle, entry in enumerate(_stimulus(seed, 4, cycles=36)):
             if 4 <= cycle < 28 and cycle % 2 == 0:
                 net = rng.choice(targets)
+                hit_declared |= net in declared
                 value = rng.randrange(2)
                 for sim in sims:
                     if cycle >= 16:
@@ -184,6 +193,9 @@ class TestFourWayOracle:
             assert outs[0] == outs[1] == outs[2], f"cycle {cycle}"
             peeks = [sim.peek_outputs() for sim in sims]
             assert peeks[0] == peeks[1] == peeks[2], f"cycle {cycle}"
+        # Both paths ran: a declared site, and a new one guarded on the spot.
+        assert hit_declared
+        assert guarded and guarded < sims[1]._compiled.guarded
 
     @pytest.mark.parametrize("backend", ("event", "compiled", "bitparallel"))
     def test_release_heals_clamped_inputs(self, backend):
@@ -209,13 +221,43 @@ class TestCompiledBackendSurface:
         with pytest.raises(NetlistError, match="backend"):
             GateSimulator(circuit, backend="jit")
 
+    @pytest.mark.parametrize("backend", ("compiled", "bitparallel"))
+    def test_one_settle_guards_exactly_the_declared_sites(self, backend):
+        circuit = random_circuit(5)
+        plain = GateSimulator(circuit, backend=backend)
+        assert plain.compiled_source.count("def settle(") == 1
+        assert " not in f " not in plain.compiled_source
+
+        def guarded(source):
+            return {int(slot) for slot in re.findall(
+                r"^    v\[(\d+)\] = .* if \1 not in f else ", source,
+                re.MULTILINE)}
+
+        sim = FaultableGateSimulator(circuit, backend=backend)
+        combs = [cell.pins["y"] for cell in circuit.comb_cells()]
+        flop_q = circuit.flops()[0].pins["q"]
+        # Only the combinational outputs among the declared nets take a
+        # guard: the settle never writes flop outputs or primary inputs.
+        sim.guard_nets(combs[::3] + circuit.input_buses["x"] + [flop_q])
+        source = sim.compiled_source
+        assert source.count("def settle(") == 1
+        assert "def settle(v, f):" in source
+        declared = {sim._slot[net.uid] for net in combs[::3]}
+        assert guarded(source) == declared
+        sim.force_net(combs[1], 1)  # outside the set: guarded from now on
+        sim.flip_net(combs[0])  # inside: no change
+        sim.force_net(flop_q, 0)
+        assert guarded(sim.compiled_source) \
+            == declared | {sim._slot[combs[1].uid]}
+        assert sim.compiled_source.count("def settle(") == 1
+
     def test_compiled_source_exposed(self):
         circuit = random_circuit(0)
         event = GateSimulator(circuit)
         compiled = GateSimulator(circuit, backend="compiled")
         assert event.compiled_source is None
         source = compiled.compiled_source
-        assert "def settle(v):" in source
+        assert "def settle(v, f):" in source
         assert "def commit(v):" in source
 
     def test_snapshot_restore_replays_identically(self):
@@ -367,6 +409,12 @@ class TestLanePacking:
         wide = FaultableGateSimulator(circuit, backend="bitparallel")
         scalars = [FaultableGateSimulator(circuit, backend="compiled")
                    for _ in picks]
+        # Half the sites are guarded up front, as a campaign declares
+        # them; a fault on any other one regenerates the settle.
+        declared = forceable[::2]
+        for sim in [wide, *scalars]:
+            sim.guard_nets(declared)
+        before_faults = wide._compiled.guarded
         for entry in stim[:5]:
             wide.step(**entry)
             for sim in scalars:
@@ -393,6 +441,7 @@ class TestLanePacking:
                 assert before[lane] == sim.step(**entry), \
                     f"lane {lane} diverged from its scalar twin"
                 assert after[lane] == sim.peek_outputs()
+        assert before_faults and before_faults < wide._compiled.guarded
 
     def test_end_lanes_keeps_lane_zero(self):
         seed = 2

@@ -12,10 +12,11 @@ from repro.netlist.sim import GateSimulator
 from repro.netlist.techmap import map_module
 from repro.obs import GateTrace, RtlTrace
 from repro.obs.vcd import mismatch_window_vcd
+from repro.rtl import Read, RtlBuilder
 from repro.rtl.simulate import RtlSimulator
 from repro.synth import synthesize
 from repro.types import Bit
-from repro.types.spec import bit
+from repro.types.spec import bit, unsigned
 
 
 def make_rtl():
@@ -58,6 +59,73 @@ class TestRtlTrace:
         drive(sim, cycles=4)
         assert trace.change_count == count
         assert sim.step_hooks == []
+
+
+def parse_vcd(text):
+    """``(names, series)``: ident -> var name, ident -> {time: value}."""
+    names: dict[str, str] = {}
+    series: dict[str, dict[int, int]] = {}
+    time = 0
+    for line in text.splitlines():
+        if line.startswith("$var"):
+            _, _, _, ident, name, _ = line.split()
+            names[ident] = name
+            series[ident] = {}
+        elif line.startswith("#"):
+            time = int(line[1:])
+        elif line.startswith("b"):
+            raw, ident = line[1:].split()
+            series[ident][time] = int(raw, 2)
+        elif line[:1] in ("0", "1"):
+            series[line[1:]][time] = int(line[0])
+    return names, series
+
+
+def twin_register_module():
+    """Two registers named ``r``, as the synthesizer sometimes emits."""
+    b = RtlBuilder("twins")
+    x = b.input("x", unsigned(4))
+    first = b.register("r", unsigned(4))
+    second = b.register("r", unsigned(4))
+    b.next(first, x)
+    b.next(second, (Read(second) + Read(first)).resized(4))
+    b.output("y", Read(second))
+    return b.build(), first, second
+
+
+class TestDuplicateRegisterNames:
+    def test_each_var_carries_its_own_register(self):
+        module, first, second = twin_register_module()
+        sim = RtlSimulator(module)
+        trace = RtlTrace(sim, include_registers=True)
+        expected = {"r": [0], "r_1": [0]}
+        for x in (3, 5, 9, 1, 14, 7):
+            sim.step(reset=0, x=x)
+            expected["r"].append(sim.register_value(first))
+            expected["r_1"].append(sim.register_value(second))
+        assert expected["r"] != expected["r_1"]
+        names, series = parse_vcd(trace.render())
+        assert sorted(names.values()) == ["r", "r_1", "y"]
+        for ident, name in names.items():
+            if name == "y":
+                continue
+            value, seen = 0, []
+            for cycle in range(sim.cycle + 1):
+                value = series[ident].get(cycle, value)
+                seen.append(value)
+            assert seen == expected[name], name
+
+    def test_every_expocu_var_is_written(self):
+        from repro.fault.scenarios import expocu_injector
+
+        sim = expocu_injector("rtl", side=4).sim
+        trace = RtlTrace(sim, include_registers=True)
+        sim.step(reset=1)
+        names, series = parse_vcd(trace.render())
+        assert len(names) == trace.writer.var_count
+        assert len(set(names.values())) == len(names)
+        assert [names[i] for i, changes in series.items() if not changes] \
+            == []
 
 
 class TestGateTrace:
