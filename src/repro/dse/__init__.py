@@ -9,7 +9,7 @@ memoized flow stack point by point:
 :mod:`repro.dse.space`
     :class:`DesignSpace` / :class:`Axis`, factorial enumerations.
 :mod:`repro.dse.evaluate`
-    :class:`PointEvaluator` — synthesize → techmap → opt → harden →
+    :class:`PointEvaluator` — synthesize → opt → harden →
     STA/area/fault-campaign, every step memoized through the design
     library so re-exploration replays warm.
 :mod:`repro.dse.search`

@@ -3,7 +3,7 @@
 One design point runs the build flow's memoized design-to-gates recipe
 plus one stage of its own:
 
-``synthesize`` → ``techmap`` → ``opt`` → ``harden``
+``synthesize`` → ``opt`` → ``harden``
     The build flow's design-to-gates recipe (same names, same keys),
     entered through :func:`repro.eval.flows.netlist_prefix` with the
     point's hardening mode — a space whose specializations were ever

@@ -11,12 +11,15 @@ difference comes from the *description style*, which is exactly the
 comparison of the paper's Results section.
 
 The OSSS path from design to gates is one memoized recipe,
-synthesize → techmap → opt (→ harden): :func:`synthesis_stage` and
+synthesize → opt (→ harden): :func:`synthesis_stage` and
 :func:`gate_stages`, or both at once through :func:`netlist_prefix`.
 The OSSS flow, ``repro analyze``, the design-space exploration
 evaluator, the fault injector and ``repro synth --netlist`` all take
 their netlist from it, so every number reported on a design comes from
-the same netlist.
+the same netlist.  Each flow has one gate stage, ``opt``: it maps the
+RTL to gates, links the VHDL IP (VHDL flow only) and optimizes, with
+``techmap`` and ``link`` as spans inside its span, and stores only the
+optimized netlist.
 
 Both runners accept an :class:`~repro.store.ArtifactStore` (``store=``):
 each stage is then memoized through the design library — its inputs are
@@ -34,7 +37,7 @@ cold, warm and cache-disabled runs.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.analyze import (
     AnalysisError,
@@ -209,20 +212,26 @@ def _annotate(flow_span, result: FlowResult) -> None:
     flow_span.annotate(cells=row["cells"], area_ge=row["area_ge"])
 
 
-def _optimized(circuit: Circuit) -> Circuit:
-    repro.netlist.opt.optimize(circuit)
-    return circuit
+def _opt(rtl: Callable[[], RtlModule],
+         parts: tuple[str, ...] | Callable[[], tuple[str, ...]],
+         runner: StageRunner,
+         ips: Callable[[], dict[str, Circuit]] | None = None
+         ) -> StageOutcome:
+    """The ``opt`` stage of both flows, keyed on *parts*: maps *rtl()*
+    to gates, links the IP library *ips()* into them when given, and
+    optimizes.  Only the optimized netlist is stored."""
 
+    def compute() -> Circuit:
+        with runner.tracer.span("techmap"):
+            circuit = repro.netlist.techmap.map_module(rtl())
+        if ips is not None:
+            with runner.tracer.span("link"):
+                link(circuit, ips())
+        repro.netlist.opt.optimize(circuit)
+        return circuit
 
-def _opt_stage(pre_outcome: StageOutcome,
-               runner: StageRunner) -> StageOutcome:
-    """The ``opt`` stage of both flows; *pre_outcome* holds the circuit
-    to optimize (the techmap or link output)."""
-    return runner.run(
-        "opt", (pre_outcome.digest,),
-        compute=lambda: _optimized(pre_outcome.value()),
-        dump=serialize_circuit, load=deserialize_circuit,
-    )
+    return runner.run("opt", parts, compute=compute,
+                      dump=serialize_circuit, load=deserialize_circuit)
 
 
 def synthesis_stage(module: Module, runner: StageRunner,
@@ -246,21 +255,16 @@ def synthesis_stage(module: Module, runner: StageRunner,
 
 def gate_stages(synth_outcome: StageOutcome, runner: StageRunner,
                 hardening: str = "none") -> StageOutcome:
-    """The rest of the recipe, techmap → opt (→ harden), on the
+    """The rest of the recipe, opt (→ harden), on the
     :func:`synthesis_stage` outcome.  Returns the netlist's outcome.
 
-    *hardening* names a :func:`~repro.fault.harden.harden_circuit`
-    recipe; anything but ``"none"`` adds the ``harden`` stage, keyed on
-    the optimized netlist's digest plus the mode.  ``"none"`` returns
-    the ``opt`` outcome itself.
+    ``opt`` keys on the ``synthesize`` digest.  *hardening* names a
+    :func:`~repro.fault.harden.harden_circuit` recipe; anything but
+    ``"none"`` adds the ``harden`` stage, keyed on the optimized
+    netlist's digest plus the mode.  ``"none"`` returns the ``opt``
+    outcome itself.
     """
-    techmap = runner.run(
-        "techmap", (synth_outcome.digest,),
-        compute=lambda: repro.netlist.techmap.map_module(
-            synth_outcome.value()),
-        dump=serialize_circuit, load=deserialize_circuit,
-    )
-    opt = _opt_stage(techmap, runner)
+    opt = _opt(synth_outcome.value, (synth_outcome.digest,), runner)
     if hardening == "none":
         return opt
     return runner.run(
@@ -281,8 +285,9 @@ def run_osss_flow(module: Module, name: str = "osss",
     them; its warnings ride along on :attr:`FlowResult.diagnostics`.
 
     With a :class:`~repro.obs.profiler.Tracer`, every stage (analyze →
-    synthesize → lint → techmap → opt → sta → pnr → sta_routed →
-    summary) is recorded as a span under one ``flow:<name>`` root.
+    synthesize → lint → opt → sta → pnr → sta_routed → summary) is
+    recorded as a span under one ``flow:<name>`` root, and ``techmap``
+    as a span inside ``opt``.
 
     With a *store*, stages are memoized through the design library: the
     live module hierarchy is fingerprinted, and any stage whose inputs
@@ -320,7 +325,7 @@ def run_osss_flow(module: Module, name: str = "osss",
 
 def netlist_prefix(module: Module, runner: StageRunner,
                    hardening: str = "none") -> StageOutcome:
-    """The whole recipe, synthesize → techmap → opt (→ harden), reentrant.
+    """The whole recipe, synthesize → opt (→ harden), reentrant.
 
     Shared by :func:`run_netlist_analysis`, the design-space exploration
     evaluator (:mod:`repro.dse.evaluate`) and the fault injector
@@ -380,7 +385,7 @@ def run_netlist_analysis(module: Module, store: ArtifactStore | None = None
                          ) -> tuple[Circuit, NetlistAnalysis]:
     """OSSS source → optimized gates → structural testability analysis.
 
-    The synthesize → techmap → opt prefix runs through the *same*
+    The synthesize → opt prefix runs through the *same*
     memoized stages (same stage names, same keys) as
     :func:`run_osss_flow`, so a prior ``repro build`` leaves them warm,
     and a ``testability`` stage caches the SCOAP/collapse/lint analysis
@@ -435,46 +440,30 @@ def run_vhdl_flow(rtl: RtlModule, name: str = "vhdl",
                                                          name),
             dump=serialize_diagnostics, load=deserialize_diagnostics,
         ).value()
-        techmap_outcome = runner.run(
-            "techmap", (rtl_fp,),
-            compute=lambda: repro.netlist.techmap.map_module(rtl),
-            dump=serialize_circuit, load=deserialize_circuit,
-        )
-        pre_outcome = techmap_outcome
+        parts: Any = (rtl_fp,)
+        ips: Any = None
         if _uses_blackboxes(rtl):
             resolved: dict[str, Circuit] = {}
 
             def ips() -> dict[str, Circuit]:
-                # Resolved lazily so building the IP library is
-                # attributed to the link span (and skipped entirely when
-                # the link stage is warm).
+                # Resolved lazily, inside the opt span: for the key when
+                # there is a store, for the link on a miss.
                 if not resolved:
                     from repro.baseline.vhdl_ip import ip_library
 
                     resolved.update(ip_library())
                 return resolved
 
-            def link_parts() -> tuple[str, str]:
+            def parts() -> tuple[str, str]:
                 library = ips()
-                return (techmap_outcome.digest, digest_doc(
+                return (rtl_fp, digest_doc(
                     [[ip, fingerprint_circuit(library[ip])]
                      for ip in sorted(library)]
                 ))
 
-            pre_outcome = runner.run(
-                "link", link_parts,
-                compute=lambda: _linked(techmap_outcome, ips()),
-                dump=serialize_circuit, load=deserialize_circuit,
-            )
         live_rtl = StageOutcome("rtl", hit=False, digest=None, value=rtl,
                                 loaded=True)
-        result = _finish(name, live_rtl, _opt_stage(pre_outcome, runner),
-                         diagnostics, runner)
+        opt = _opt(lambda: rtl, parts, runner, ips)
+        result = _finish(name, live_rtl, opt, diagnostics, runner)
         _annotate(flow_span, result)
     return result
-
-
-def _linked(techmap_outcome, ip_library: dict[str, Circuit]) -> Circuit:
-    circuit = techmap_outcome.value()
-    link(circuit, ip_library)
-    return circuit

@@ -27,7 +27,8 @@ too expensive to lose and too deterministic to need loose semantics, so
   failure, never silently dropped;
 * teardown is deliberate: ``KeyboardInterrupt`` (or any error) tears
   workers down with terminate → join → kill → join, so no zombies
-  outlive the pool.
+  outlive the pool; a parent killed outright (``SIGKILL``) leaves no
+  idle worker behind either.
 
 Tasks must be independent and deterministic — the pool may execute a
 task twice when a worker dies between completing it and the parent
@@ -183,10 +184,16 @@ def _worker_main(worker_id: int, session_factory: Callable[[], Any],
                                    payload)))
     send(("ready", worker_id, getattr(session, "meta", None),
           time.perf_counter() - t0))
+    # The parent's death never shows as EOF on the task pipe: under fork
+    # this worker and every later sibling hold copies of its write end.
+    # So an idle worker also watches the parent's sentinel.
+    watched = [task_conn, multiprocessing.parent_process().sentinel]
     tasks = 0
     busy_s = 0.0
     while True:
         try:
+            if task_conn not in multiprocessing.connection.wait(watched):
+                return  # only the parent's sentinel fired
             item = task_conn.recv()
         except (EOFError, OSError):
             return  # parent is gone: nothing useful left to do

@@ -64,11 +64,6 @@ class CellType:
             return max(self.delay.values())
         return 0.0
 
-    @property
-    def worst_delay(self) -> float:
-        """The slowest arc through the cell."""
-        return max(self.delay.values()) if self.delay else 0.0
-
     def __repr__(self) -> str:
         return f"CellType({self.name})"
 

@@ -32,7 +32,7 @@ class TestWarmExploration:
         assert dict(warm_store.counters["miss"]) == {}
         assert dict(warm_store.counters["store"]) == {}
         # ...and the flow prefix stages were warm for every point too.
-        for stage in ("synthesize", "techmap", "opt"):
+        for stage in ("synthesize", "opt"):
             assert warm_store.counters["hit"][stage] == n_points
         # The report replays byte-identically.
         assert warm.to_json() == cold.to_json()

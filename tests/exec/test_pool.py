@@ -1,7 +1,15 @@
 """Supervised pool: correctness, chaos kills, deadlines, teardown."""
 
 import multiprocessing
+import os
+import queue
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +20,8 @@ from repro.exec import (
     TaskPickleError,
 )
 from repro.obs import Tracer
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class _SquareSession:
@@ -217,3 +227,92 @@ class TestFailureModes:
             worker.process.join(5.0)
             assert not worker.process.is_alive()
         assert _no_children()
+
+
+# A parent that runs a 2-worker pool of short tasks, then blocks in its
+# last result callback with both workers idle, waiting to be killed.
+_ORPHANING_PARENT = textwrap.dedent("""\
+    import os
+    import time
+
+    from repro.exec import SupervisedPool
+
+    class PidSession:
+        def __init__(self):
+            print("worker", os.getpid(), flush=True)
+
+        def run(self, payload):
+            return payload
+
+    done = []
+
+    def on_result(idx, value):
+        done.append(idx)
+        if len(done) == 4:
+            print("idle", flush=True)
+            time.sleep(300)
+
+    SupervisedPool(PidSession, jobs=2).run(range(4), on_result=on_result)
+""")
+
+
+def _forward(stream, lines):
+    for line in stream:
+        lines.put(line)
+
+
+def _ended(pid):
+    """True once *pid* has exited; a zombie nobody reaps counts."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] in ("Z", "X")
+
+
+class TestOrphanedWorkers:
+    def test_idle_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        script = tmp_path / "parent.py"
+        script.write_text(_ORPHANING_PARENT)
+        parent = subprocess.Popen(
+            [sys.executable, str(script)],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            stdout=subprocess.PIPE, text=True,
+        )
+        lines = queue.Queue()
+        reader = threading.Thread(target=_forward,
+                                  args=(parent.stdout, lines), daemon=True)
+        reader.start()
+        workers = []
+        try:
+            idle = False
+            deadline = time.monotonic() + 60
+            while not idle or len(workers) < 2:
+                line = lines.get(timeout=max(0.0,
+                                             deadline - time.monotonic()))
+                if line.startswith("worker "):
+                    workers.append(int(line.split()[1]))
+                idle = idle or line.strip() == "idle"
+            parent.send_signal(signal.SIGKILL)
+            parent.wait(10)
+            deadline = time.monotonic() + 5
+            while (time.monotonic() < deadline
+                   and not all(_ended(pid) for pid in workers)):
+                time.sleep(0.05)
+            assert [pid for pid in workers if not _ended(pid)] == []
+        finally:
+            parent.kill()
+            parent.wait(10)
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            # The pipe ends once no worker holds it.
+            reader.join(10)
+            if not reader.is_alive():
+                parent.stdout.close()

@@ -26,8 +26,8 @@ def _injector_stages(flow, hardening):
 
 class TestInjectorStages:
     @pytest.mark.parametrize("hardening, stages", [
-        ("none", ["synthesize", "techmap", "opt"]),
-        ("tmr+parity", ["synthesize", "techmap", "opt", "harden"]),
+        ("none", ["synthesize", "opt"]),
+        ("tmr+parity", ["synthesize", "opt", "harden"]),
     ])
     def test_netlist_flow_runs_the_recipe(self, hardening, stages):
         assert _injector_stages("netlist", hardening) == [

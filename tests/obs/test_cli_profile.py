@@ -13,8 +13,8 @@ import pytest
 from repro.cli import main
 from repro.obs import validate_trace
 
-FLOW_STAGES = {"analyze", "synthesize", "lint", "techmap", "opt", "sta",
-               "pnr", "sta_routed", "link", "summary"}
+FLOW_STAGES = {"analyze", "synthesize", "lint", "opt", "sta", "pnr",
+               "sta_routed", "summary"}
 
 
 def load(path) -> dict:

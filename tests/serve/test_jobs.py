@@ -127,7 +127,7 @@ class TestRunJob:
             pass
 
         def guard(stage):
-            if stage == "techmap":
+            if stage == "opt":
                 raise Abort(stage)
 
         with pytest.raises(Abort):

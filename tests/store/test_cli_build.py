@@ -57,7 +57,7 @@ class TestCacheCommand:
     def test_stats(self, warmed, capsys):
         assert main(["cache", "--cache-dir", warmed, "stats"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["entries"] == 9
+        assert stats["entries"] == 8
         assert stats["objects"] > 0 and stats["bytes"] > 0
 
     def test_verify_ok_then_corruption_fails(self, warmed, capsys, tmp_path):

@@ -23,7 +23,7 @@ from tests.analyze.netlist.test_lints import seeded_circuit
 from tests.netlist.test_sim_oracle import random_circuit
 from tests.store.test_fingerprint import make_probe
 
-ANALYSIS_STAGES = ("synthesize", "techmap", "opt", "testability")
+ANALYSIS_STAGES = ("synthesize", "opt", "testability")
 
 
 class TestMemoizedAnalysis:
@@ -64,7 +64,7 @@ class TestMemoizedAnalysis:
         store = ArtifactStore(store.root)
         run_netlist_analysis(make_probe(), store=store)
         # Everything but the analysis itself was left warm by the build.
-        for stage in ("synthesize", "techmap", "opt"):
+        for stage in ("synthesize", "opt"):
             assert store.counters["hit"][stage] == 1, stage
         assert store.counters["miss"]["testability"] == 1
 

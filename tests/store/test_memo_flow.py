@@ -16,18 +16,27 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.eval.flows import run_osss_flow, run_vhdl_flow
 from repro.eval.sweep import sweep
-from repro.store import ArtifactStore, canonical_json
+from repro.obs import Tracer
+from repro.serve.jobs import make_spec, run_job
+from repro.store import (
+    ArtifactStore,
+    StoreError,
+    canonical_json,
+    stage_key,
+    stage_version,
+)
 from tests.store.test_fingerprint import make_probe
-from tests.store.test_warm_reads import watch_loads
+from tests.store.test_warm_reads import NETLIST, watch_loads
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-OSSS_STAGES = ("analyze", "synthesize", "lint", "techmap",
-               "opt", "sta", "pnr", "sta_routed", "summary")
-VHDL_STAGES = ("lint", "techmap", "link", "opt", "sta", "pnr", "sta_routed",
-               "summary")
+OSSS_STAGES = ("analyze", "synthesize", "lint", "opt", "sta", "pnr",
+               "sta_routed", "summary")
+VHDL_STAGES = ("lint", "opt", "sta", "pnr", "sta_routed", "summary")
 
 
 def reopen(store):
@@ -100,6 +109,86 @@ class TestVhdlMemoization:
             assert store.counters["hit"][stage] == 1, stage
         assert sum(store.counters["miss"].values()) == 0
         assert canonical_json(warm.summary()) == canonical_json(cold.summary())
+
+
+def _opt_children(tracer):
+    """``{flow root: names of the spans inside its opt span}``."""
+    return {root.name: [span.name
+                        for opt in root.children if opt.name == "opt"
+                        for span in opt.children]
+            for root in tracer.roots}
+
+
+def _span_names(spans):
+    for span in spans:
+        yield span.name
+        yield from _span_names(span.children)
+
+
+class TestOneGateStage:
+    """Each flow stores one netlist, the optimized one: mapping and
+    linking run inside the ``opt`` stage."""
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        store = ArtifactStore(tmp_path_factory.mktemp("gate") / "cache")
+        tracer = Tracer("build")
+        run_job(make_spec("build", {"flow": "both"}), store=store,
+                tracer=tracer)
+        return store, tracer
+
+    def test_cold_build_stores_only_the_optimized_netlists(self, cold):
+        store, _ = cold
+        stats = store.stats()
+        assert stats["stages"] == {
+            "analyze": 1, "lint": 2, "opt": 2, "pnr": 2, "sta": 2,
+            "sta_routed": 2, "summary": 2, "synthesize": 1}
+        assert stats["entries"] == 14
+        assert not {"techmap", "link"} & {
+            path.name for path in store.stages_dir.iterdir()}
+        netlists = []
+        for path in store._iter_objects():
+            doc = store.get_object(path.stem)
+            if isinstance(doc, dict) and doc.get("schema") == NETLIST:
+                netlists.append(path.stem)
+        opt = [store.probe(stage, pointer.stem)
+               for stage, pointer in store._iter_pointers()
+               if stage == "opt"]
+        assert sorted(netlists) == sorted(opt) and len(opt) == 2
+
+    def test_map_and_link_are_spans_inside_opt(self, cold):
+        _, tracer = cold
+        assert _opt_children(tracer) == {
+            "flow:osss": ["techmap"], "flow:vhdl": ["techmap", "link"]}
+        for root in tracer.roots:
+            assert not {"techmap", "link"} & {
+                span.name for span in root.children}
+
+    def test_warm_build_maps_nothing(self, cold):
+        store, _ = cold
+        tracer = Tracer("build")
+        store = reopen(store)
+        run_job(make_spec("build", {"flow": "both"}), store=store,
+                tracer=tracer)
+        assert sum(store.counters["miss"].values()) == 0
+        assert store.counters["hit"]["opt"] == 2
+        assert not {"techmap", "link"} & set(_span_names(tracer.roots))
+
+    @pytest.mark.parametrize("source", [
+        "netlist/techmap.py", "netlist/linker.py", "netlist/opt.py",
+    ])
+    def test_opt_key_covers_map_link_and_optimize(self, source_copy,
+                                                  source):
+        before = stage_key("opt", "rtl")
+        path = source_copy / source
+        path.write_text(path.read_text() + "\n# edited\n")
+        stage_version.cache_clear()
+        assert stage_key("opt", "rtl") != before
+
+    @pytest.mark.parametrize("stage", ["techmap", "link"])
+    def test_map_and_link_are_no_stages(self, stage):
+        with pytest.raises(StoreError, match="unknown flow stage"):
+            stage_version(stage)
 
 
 class TestSweepReuse:

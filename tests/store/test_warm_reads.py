@@ -7,8 +7,6 @@ that nothing loads is therefore found by ``ArtifactStore.verify``, and
 ``verify(repair=True)`` plus the next build heal it.
 """
 
-import shutil
-
 import pytest
 
 from repro.eval.flows import (
@@ -23,7 +21,6 @@ from repro.store import (
     serialize_testability,
     stage_version,
 )
-from repro.store import fingerprint
 from tests.store.test_fingerprint import make_probe
 
 NETLIST = "repro-netlist/v1"
@@ -214,18 +211,6 @@ class TestOneCorruptNetlist:
 
 
 class TestSummaryStage:
-    @pytest.fixture
-    def source_copy(self, tmp_path, monkeypatch):
-        """A private copy of the package sources that stage versions
-        are computed from."""
-        root = tmp_path / "repro"
-        shutil.copytree(fingerprint._SRC_ROOT, root,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        monkeypatch.setattr(fingerprint, "_SRC_ROOT", root)
-        stage_version.cache_clear()
-        yield root
-        stage_version.cache_clear()
-
     @pytest.mark.parametrize("source", [
         "netlist/area.py", "netlist/cells.py", "netlist/sta.py",
         "eval/flows.py",
