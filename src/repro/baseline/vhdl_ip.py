@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.opt import optimize
-from repro.netlist.techmap import map_module
+from repro.netlist.techmap import TechMapper
 from repro.rtl.ir import Read, RtlModule
 from repro.types.spec import unsigned
 
@@ -46,9 +46,7 @@ def multiplier_ip_circuit(a_width: int = 16, b_width: int = 8) -> Circuit:
     a = rtl.add_input("a", unsigned(a_width))
     b = rtl.add_input("b", unsigned(b_width))
     rtl.add_output("p", Read(a) * Read(b))
-    circuit = map_module(rtl)
-    optimize(circuit)
-    return circuit
+    return optimize(TechMapper(rtl).map())
 
 
 def ip_library(a_width: int = 16, b_width: int = 8) -> dict[str, Circuit]:

@@ -52,13 +52,20 @@ Uncaught flow errors (:class:`~repro.synth.SynthesisError`,
 tracebacks.  ``repro inject`` additionally exits 1 when the golden
 self-check fails and 3 when any fault was quarantined by its
 ``--fault-timeout`` deadline (the report under-covers the fault list).
+A command whose stdout reader goes away (``repro ... | head``) stops
+quietly with :data:`EXIT_BROKEN_PIPE`, the status a shell reports for a
+program SIGPIPE ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
+
+#: Exit status when the reader of stdout closed it: 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
 
 
 def _load_design(spec: str):
@@ -738,13 +745,24 @@ def main(argv: list[str] | None = None) -> int:
     profile = getattr(args, "profile", None)
     args.tracer = Tracer(args.command) if profile else NULL_TRACER
     try:
-        code = args.func(args)
-    except (SynthesisError, NetlistError, StoreError, CampaignError,
-            DseError, JobError) as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        code = 2
-    if profile:
-        _write_profile(args.tracer, profile)
+        try:
+            code = args.func(args)
+        except (SynthesisError, NetlistError, StoreError, CampaignError,
+                DseError, JobError) as exc:
+            print(f"repro: error: {exc}", file=sys.stderr)
+            code = 2
+        if profile:
+            _write_profile(args.tracer, profile)
+        # Flush here, so a closed pipe surfaces below and not in the
+        # interpreter's flush at exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at /dev/null so that flush at exit cannot fail
+        # too.  SIGPIPE stays ignored: `repro serve` writes to sockets.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     return code
 
 

@@ -17,7 +17,7 @@ from repro.hdl.signal import Clock, Signal
 from repro.hdl.simtime import NS
 from repro.netlist.opt import optimize
 from repro.netlist.sim import GateSimulator
-from repro.netlist.techmap import map_module
+from repro.netlist.techmap import TechMapper
 from repro.obs.vcd import mismatch_window_vcd
 from repro.rtl.ir import RtlModule
 from repro.rtl.simulate import RtlSimulator
@@ -207,8 +207,7 @@ def check_all_stages(
                              Signal("rst", bit(), Bit(1))))
     stages: list[Any] = [kernel, RtlStage(rtl, observed)]
     if include_gates:
-        circuit = map_module(rtl)
-        optimize(circuit)
+        circuit = optimize(TechMapper(rtl).map())
         stages.append(GateStage(circuit, observed))
     # Reactivate the kernel stage's simulator (synthesis does not disturb
     # it, but constructing a second Simulator moved the active pointer).

@@ -47,7 +47,7 @@ from repro.analyze import (
     analyze_design,
     diagnostics_from_lint_report,
 )
-# The recipe calls synthesize, map_module and optimize through their
+# The recipe calls synthesize, the mapper and optimize through their
 # modules at call time, so a wrapper installed on one of those module
 # attributes (bench/layers.py) sees every call.
 import repro.netlist.opt
@@ -218,17 +218,17 @@ def _opt(rtl: Callable[[], RtlModule],
          ips: Callable[[], dict[str, Circuit]] | None = None
          ) -> StageOutcome:
     """The ``opt`` stage of both flows, keyed on *parts*: maps *rtl()*
-    to gates, links the IP library *ips()* into them when given, and
-    optimizes.  Only the optimized netlist is stored."""
+    into a gate arena, links the IP library *ips()* into it when given,
+    and optimizes; only the cells that survive become objects.  Only the
+    optimized netlist is stored."""
 
     def compute() -> Circuit:
         with runner.tracer.span("techmap"):
-            circuit = repro.netlist.techmap.map_module(rtl())
+            arena = repro.netlist.techmap.TechMapper(rtl()).map()
         if ips is not None:
             with runner.tracer.span("link"):
-                link(circuit, ips())
-        repro.netlist.opt.optimize(circuit)
-        return circuit
+                link(arena, ips())
+        return repro.netlist.opt.optimize(arena)
 
     return runner.run("opt", parts, compute=compute,
                       dump=serialize_circuit, load=deserialize_circuit)

@@ -57,15 +57,14 @@ def simulation_rates(
     from repro.hdl.signal import Clock, Signal
     from repro.hdl.simtime import NS
     from repro.netlist.opt import optimize
-    from repro.netlist.techmap import map_module
+    from repro.netlist.techmap import TechMapper
     from repro.synth.modulegen import synthesize
     from repro.types.logic import Bit
     from repro.types.spec import bit
 
     rtl = synthesize(factory(Clock("clk", 10 * NS),
                              Signal("rst", bit(), Bit(1))))
-    circuit = map_module(rtl)
-    optimize(circuit)
+    circuit = optimize(TechMapper(rtl).map())
     kernel = KernelStage(factory, observed)
     kernel.sim.activate()
     rates = {"behavioral": measure_stage(kernel, stimulus, repeat)}

@@ -5,19 +5,25 @@ letting the tools *"connect the whole design automatically"* on the netlist
 level.  :func:`link` reproduces that: black-box instances left by the
 technology mapper are replaced by clones of separately mapped IP circuits,
 with the IP's primary input/output nets spliced onto the host's nets.
+
+The host is a :class:`~repro.netlist.circuit.Circuit` or, in the flows,
+the mapper's :class:`~repro.netlist.arena.GateArena`: both answer the
+``blackboxes``, ``new_net``, ``const_net`` and ``add_cell`` calls the
+linker makes, the arena with integer nets.
 """
 
 from __future__ import annotations
 
+from repro.netlist.arena import GateArena
 from repro.netlist.cells import BUF
-from repro.netlist.circuit import Cell, Circuit, Net, NetlistError
+from repro.netlist.circuit import Circuit, Net, NetlistError
 
 
-def _clone_ip(host: Circuit, ip: Circuit, prefix: str,
-              net_map: dict[int, Net]) -> None:
+def _clone_ip(host: Circuit | GateArena, ip: Circuit, prefix: str,
+              net_map: dict[int, Net | int]) -> None:
     """Copy every cell of *ip* into *host*, translating nets."""
 
-    def translate(net: Net) -> Net:
+    def translate(net: Net) -> Net | int:
         mapped = net_map.get(net.uid)
         if mapped is None:
             mapped = host.new_net(f"{prefix}/{net.name}")
@@ -36,7 +42,8 @@ def _clone_ip(host: Circuit, ip: Circuit, prefix: str,
         host.add_cell(f"{prefix}/{cell.name}", cell.ctype, **pins)
 
 
-def link(host: Circuit, ip_library: dict[str, Circuit]) -> Circuit:
+def link(host: Circuit | GateArena,
+         ip_library: dict[str, Circuit]) -> Circuit | GateArena:
     """Resolve every black box in *host* using *ip_library* (in place)."""
     for box in list(host.blackboxes):
         ip = ip_library.get(box.ip_name)
@@ -47,7 +54,7 @@ def link(host: Circuit, ip_library: dict[str, Circuit]) -> Circuit:
             )
         if ip.blackboxes:
             raise NetlistError(f"IP {ip.name!r} is itself unlinked")
-        net_map: dict[int, Net] = {}
+        net_map: dict[int, Net | int] = {}
         for bus_name, host_nets in box.input_buses.items():
             ip_nets = ip.input_buses.get(bus_name)
             if ip_nets is None or len(ip_nets) != len(host_nets):

@@ -24,6 +24,13 @@ cell dies when the last reader of its output goes away, and a
 cannot — flip-flop loops no output observes.  Only connected nets stay
 in ``circuit.nets``.
 
+The worklist runs on a :class:`~repro.netlist.arena.GateArena`, where a
+net is an int and a cell an index, so the ~90 % of mapped cells the
+rules delete never exist as objects: the flows hand :func:`optimize`
+the mapper's arena and get back a :class:`Circuit` of the survivors.
+A :class:`Circuit` passed in is read into an arena, and the result is
+written back onto its surviving objects.
+
 Because both flows share the optimizer, the paper's "area almost
 equivalent" result (R1) and the zero-overhead class-resolution check (R3)
 compare optimized-against-optimized.
@@ -31,14 +38,18 @@ compare optimized-against-optimized.
 
 from __future__ import annotations
 
-from repro.netlist.cells import AND2, INV, OR2
-from repro.netlist.circuit import Cell, Circuit, Net
+from repro.netlist.arena import GateArena
+from repro.netlist.cells import AND2, INV, OR2, CellType
+from repro.netlist.circuit import Circuit
 
 #: Commutative two-input cell types (inputs may be sorted for CSE).
 _COMMUTATIVE = {"AND2", "OR2", "XOR2", "XNOR2", "NAND2", "NOR2"}
 
 #: Cell types no rule rewrites or merges.
 _FIXED = {"TIE0", "TIE1", "DFF"}
+
+#: The constant ties and their values.
+_TIES = {"TIE0": 0, "TIE1": 1}
 
 #: A commutative cell with input ``a`` and a constant ``0``/``1`` becomes
 #: (for each constant) a constant, ``"a"`` or its inverse ``"~a"`` ...
@@ -53,199 +64,219 @@ _SAME_INPUTS = {
 }
 
 
-def _const_of(net: Net) -> int | None:
-    """0/1 if *net* is a constant tie, else None."""
-    if net.driver is None:
-        return None
-    name = net.driver[0].ctype.name
-    if name == "TIE0":
-        return 0
-    if name == "TIE1":
-        return 1
-    return None
-
-
 class _Worklist:
-    """The state of one :func:`optimize` call."""
+    """The state of one :func:`optimize` call, on a :class:`GateArena`."""
 
-    def __init__(self, circuit: Circuit) -> None:
-        self.circuit = circuit
-        #: Net uid → {reading cell: number of its input pins on the net},
-        #: in insertion order so every walk over readers is deterministic.
-        self.readers: dict[int, dict[Cell, int]] = {}
-        #: Net uid → the (bus list, index) slots holding it in output and
+    def __init__(self, arena: GateArena) -> None:
+        self.arena = arena
+        # The arena's per-cell and per-net lists, which only grow.
+        self.ctype, self.ins = arena.ctype, arena.ins
+        self.out, self.driver = arena.out, arena.driver
+        #: Net → {reading cell: number of its input pins on the net}, in
+        #: insertion order so every walk over readers is deterministic.
+        self.readers: dict[int, dict[int, int]] = {}
+        #: Net → the (bus list, index) slots holding it in output and
         #: black-box input buses: references no cell pin accounts for.
-        self.roots: dict[int, list[tuple[list[Net], int]]] = {}
-        #: Hash-cons table (type, input uids) → the one live cell with
+        self.roots: dict[int, list[tuple[list[int], int]]] = {}
+        #: Hash-cons table (type, input nets) → the one live cell with
         #: that structure, and each registered cell's key.
-        self.table: dict[tuple, Cell] = {}
+        self.table: dict[tuple, int] = {}
         self.keys: dict[int, tuple] = {}
         self.dead: set[int] = set()
+        for bus in self._root_buses():
+            for index, net in enumerate(bus):
+                self.roots.setdefault(net, []).append((bus, index))
+        for cell in self._partition():
+            self._bury(cell)
+        readers, ins = self.readers, self.ins
+        for cell in arena.cells:
+            for net in ins[cell]:  # _connect, inline
+                loads = readers.get(net)
+                if loads is None:
+                    readers[net] = {cell: 1}
+                else:
+                    loads[cell] = loads.get(cell, 0) + 1
+        ctype = self.ctype
         #: The worklist, popped last-in first-out: the initial cells come
-        #: off in circuit order, and the cells an edit enqueues are
+        #: off in netlist order, and the cells an edit enqueues are
         #: visited before the next of them, so every change propagates
         #: depth-first.  On the ExpoCU that reaches a smaller fixed point
         #: than first-in first-out order (5 777 vs 5 962 cells).
-        self.queue: list[Cell] = []
-        self.queued: set[int] = set()
-        for bus in self._root_buses():
-            for index, net in enumerate(bus):
-                self.roots.setdefault(net.uid, []).append((bus, index))
-        for cell in self._partition():
-            self._bury(cell)
-        for cell in circuit.cells:
-            for pin in cell.ctype.inputs:
-                self._connect(cell, cell.pins[pin])
-        for cell in reversed(circuit.cells):
-            self._enqueue(cell)
+        self.queue: list[int] = [cell for cell in reversed(arena.cells)
+                                 if ctype[cell].name not in _FIXED]
+        self.queued: set[int] = set(self.queue)
 
-    def _root_buses(self) -> list[list[Net]]:
-        circuit = self.circuit
-        buses = [*circuit.output_buses.values()]
-        for box in circuit.blackboxes:
+    def _root_buses(self) -> list[list[int]]:
+        arena = self.arena
+        buses = [*arena.output_buses.values()]
+        for box in arena.blackboxes:
             buses.extend(box.input_buses.values())
         return buses
 
-    def _partition(self) -> list[Cell]:
+    def _partition(self) -> list[int]:
         """Keep the cells in the roots' fan-in cone; return the others."""
-        circuit = self.circuit
-        _, cone = circuit.fanin_cone(
+        arena = self.arena
+        cone = arena.fanin_cells(
             [net for bus in self._root_buses() for net in bus])
         dead = self.dead
-        doomed = [cell for cell in circuit.cells
-                  if cell.uid not in cone and cell.uid not in dead]
-        circuit.cells = [cell for cell in circuit.cells if cell.uid in cone]
+        doomed = [cell for cell in arena.cells
+                  if cell not in cone and cell not in dead]
+        arena.cells = [cell for cell in arena.cells if cell in cone]
         return doomed
+
+    def _const_of(self, net: int) -> int | None:
+        """0/1 if *net* is a constant tie, else None."""
+        driver = self.driver[net]
+        if driver < 0:
+            return None
+        return _TIES.get(self.ctype[driver].name)
 
     # ------------------------------------------------------------------
     # the fanout index
     # ------------------------------------------------------------------
-    def _connect(self, cell: Cell, net: Net) -> None:
-        readers = self.readers.setdefault(net.uid, {})
+    def _connect(self, cell: int, net: int) -> None:
+        readers = self.readers.setdefault(net, {})
         readers[cell] = readers.get(cell, 0) + 1
 
-    def _drop(self, cell: Cell, net: Net) -> Cell | None:
+    def _drop(self, cell: int, net: int) -> int | None:
         """Drop one of *cell*'s pins from *net*.
 
         Returns *net*'s driver when the net is left unused; enqueues the
         last reader when the fanout falls to one load, since that reader
         may now absorb the driver (see :meth:`_mux_chain`).
         """
-        readers = self.readers[net.uid]
+        readers = self.readers[net]
         count = readers.pop(cell) - 1
         if count:
             readers[cell] = count
         if not readers:
-            if net.uid in self.roots or net.driver is None:
+            driver = self.driver[net]
+            if net in self.roots or driver < 0:
                 return None
-            return net.driver[0]
+            return driver
         if len(readers) == 1:
             reader, count = next(iter(readers.items()))
             if count == 1:
                 self._enqueue(reader)
         return None
 
-    def _single_load(self, net: Net) -> bool:
-        readers = self.readers.get(net.uid, {})
+    def _single_load(self, net: int) -> bool:
+        readers = self.readers.get(net, {})
         return len(readers) == 1 and next(iter(readers.values())) == 1
 
-    def _enqueue(self, cell: Cell) -> None:
-        if cell.uid not in self.queued and cell.ctype.name not in _FIXED:
-            self.queued.add(cell.uid)
+    def _enqueue(self, cell: int) -> None:
+        if (cell not in self.queued
+                and self.ctype[cell].name not in _FIXED):
+            self.queued.add(cell)
             self.queue.append(cell)
 
-    def _unhash(self, cell: Cell) -> None:
-        key = self.keys.pop(cell.uid, None)
+    def _unhash(self, cell: int) -> None:
+        key = self.keys.pop(cell, None)
         if key is not None:
             del self.table[key]
 
     # ------------------------------------------------------------------
     # edits
     # ------------------------------------------------------------------
-    def _bury(self, cell: Cell) -> None:
+    def _bury(self, cell: int) -> None:
         """Mark *cell* dead and undrive its output."""
-        self.dead.add(cell.uid)
-        out = cell.pins[cell.ctype.outputs[0]]
-        out.driver = None
-        if cell.ctype.name in ("TIE0", "TIE1"):
-            const = self.circuit._const
-            for value in [v for v, net in const.items() if net is out]:
+        self.dead.add(cell)
+        out = self.out[cell]
+        self.driver[out] = -1
+        if self.ctype[cell].name in _TIES:
+            const = self.arena._const
+            for value in [v for v, net in const.items() if net == out]:
                 del const[value]
 
-    def _kill(self, cell: Cell) -> None:
+    def _kill(self, cell: int) -> None:
         """Remove *cell*, then every driver left without a reader."""
+        ins, dead, keys = self.ins, self.dead, self.keys
+        bury, drop = self._bury, self._drop
         stack = [cell]
         while stack:
             cell = stack.pop()
-            if cell.uid in self.dead:
+            if cell in dead:
                 continue
-            self._bury(cell)
-            self._unhash(cell)
-            for pin in cell.ctype.inputs:
-                driver = self._drop(cell, cell.pins[pin])
+            bury(cell)
+            if cell in keys:  # _unhash, inline
+                del self.table[keys.pop(cell)]
+            for net in ins[cell]:
+                driver = drop(cell, net)
                 if driver is not None:
                     stack.append(driver)
 
-    def _replace(self, old: Net, new: Net) -> None:
+    def _replace(self, old: int, new: int) -> None:
         """Move every reader of *old* onto *new*; *old*'s driver dies."""
-        moved = self.readers.pop(old.uid, {})
-        target = self.readers.setdefault(new.uid, {})
+        ins, ctype, readers = self.ins, self.ctype, self.readers
+        keys, enqueue = self.keys, self._enqueue
+        moved = readers.pop(old, {})
+        target = readers.setdefault(new, {})
         for cell, count in moved.items():
-            self._unhash(cell)
-            for pin in cell.ctype.inputs:
-                if cell.pins[pin] is old:
-                    cell.pins[pin] = new
+            if cell in keys:  # _unhash, inline
+                del self.table[keys.pop(cell)]
+            ins[cell] = tuple([new if net == old else net
+                               for net in ins[cell]])
             target[cell] = target.get(cell, 0) + count
-            self._enqueue(cell)
-            if cell.ctype.name == "MUX2":
+            enqueue(cell)
+            if ctype[cell].name == "MUX2":
                 # Its only load may match its new pins in _mux_chain.
-                loads = self.readers.get(cell.pins["y"].uid, {})
+                loads = readers.get(self.out[cell], {})
                 if len(loads) == 1:
-                    self._enqueue(next(iter(loads)))
-        for slot in self.roots.pop(old.uid, ()):
+                    enqueue(next(iter(loads)))
+        for slot in self.roots.pop(old, ()):
             bus, index = slot
             bus[index] = new
-            self.roots.setdefault(new.uid, []).append(slot)
-        if old.driver is not None:
-            self._kill(old.driver[0])
+            self.roots.setdefault(new, []).append(slot)
+        driver = self.driver[old]
+        if driver >= 0:
+            self._kill(driver)
 
-    def _repin(self, cell: Cell, ctype, pins: dict[str, Net]) -> None:
-        """Give *cell* a new type and pins; revisit it and its readers."""
+    def _repin(self, cell: int, ctype: CellType,
+               ins: tuple[int, ...]) -> None:
+        """Give *cell* a new type and inputs; revisit it and its readers.
+
+        A new type comes with its pins in library order.
+        """
         self._unhash(cell)
-        old = [cell.pins[pin] for pin in cell.ctype.inputs]
-        cell.ctype = ctype
-        cell.pins = pins
-        for pin in ctype.inputs:  # connect first: shared nets stay alive
-            self._connect(cell, pins[pin])
+        old = self.ins[cell]
+        if ctype is not self.ctype[cell]:
+            self.arena.pin_order.pop(cell, None)
+        self.ctype[cell] = ctype
+        self.ins[cell] = ins
+        for net in ins:  # connect first: shared nets stay alive
+            self._connect(cell, net)
         for net in old:
             driver = self._drop(cell, net)
             if driver is not None:
                 self._kill(driver)
         self._enqueue(cell)
-        for reader in self.readers.get(pins["y"].uid, {}):
+        for reader in self.readers.get(self.out[cell], {}):
             self._enqueue(reader)
 
-    def _add(self, ctype, name: str, net_name: str, **ins: Net) -> Net:
+    def _add(self, ctype: CellType, name: str, net_name: str,
+             *ins: int) -> int:
         """A new *ctype* cell reading *ins*; returns its output net."""
-        out = self.circuit.new_net(net_name)
-        cell = self.circuit.add_cell(name, ctype, y=out, **ins)
-        for net in ins.values():
+        arena = self.arena
+        out = arena.new_net(net_name)
+        cell = arena.add_cell(name, ctype, y=out, **dict(zip(ctype.inputs,
+                                                           ins)))
+        for net in ins:
             self._connect(cell, net)
         self._enqueue(cell)
         return out
 
-    def _to_net(self, cell: Cell, net: Net) -> bool:
-        self._replace(cell.pins["y"], net)
+    def _to_net(self, cell: int, net: int) -> bool:
+        self._replace(self.out[cell], net)
         return True
 
-    def _to_const(self, cell: Cell, value: int) -> bool:
-        return self._to_net(cell, self.circuit.const_net(value))
+    def _to_const(self, cell: int, value: int) -> bool:
+        return self._to_net(cell, self.arena.const_net(value))
 
-    def _to_inv(self, cell: Cell, net: Net) -> bool:
-        self._repin(cell, INV, {"a": net, "y": cell.pins["y"]})
+    def _to_inv(self, cell: int, net: int) -> bool:
+        self._repin(cell, INV, (net,))
         return True
 
-    def _become(self, cell: Cell, result: int | str, a: Net) -> bool:
+    def _become(self, cell: int, result: int | str, a: int) -> bool:
         """Rewrite *cell* as *result*: ``0``/``1``, ``"a"`` or ``"~a"``."""
         if result == "a":
             return self._to_net(cell, a)
@@ -256,30 +287,32 @@ class _Worklist:
     # ------------------------------------------------------------------
     # rules
     # ------------------------------------------------------------------
-    def _simplify(self, cell: Cell) -> bool:
+    def _simplify(self, cell: int) -> bool:
         """Constant propagation and identities; True if *cell* changed."""
-        name = cell.ctype.name
-        pins = cell.pins
+        name = self.ctype[cell].name
+        ins = self.ins[cell]
+        const_of = self._const_of
         if name in ("INV", "BUF"):
-            a = pins["a"]
+            a = ins[0]
             if name == "BUF":
                 return self._to_net(cell, a)
-            const = _const_of(a)
+            const = const_of(a)
             if const is not None:
                 return self._to_const(cell, 1 - const)
             # Double inverter: INV(INV(x)) -> x.
-            if a.driver is not None and a.driver[0].ctype.name == "INV":
-                return self._to_net(cell, a.driver[0].pins["a"])
+            driver = self.driver[a]
+            if driver >= 0 and self.ctype[driver].name == "INV":
+                return self._to_net(cell, self.ins[driver][0])
             return False
 
         if name == "MUX2":
-            d0, d1, sel = pins["d0"], pins["d1"], pins["s"]
-            s_const = _const_of(sel)
+            d0, d1, sel = ins
+            s_const = const_of(sel)
             if s_const is not None:
                 return self._to_net(cell, d1 if s_const else d0)
-            if d0 is d1:
+            if d0 == d1:
                 return self._to_net(cell, d0)
-            c0, c1 = _const_of(d0), _const_of(d1)
+            c0, c1 = const_of(d0), const_of(d1)
             if c0 == 0 and c1 == 1:
                 return self._to_net(cell, sel)
             if c0 == 1 and c1 == 0:
@@ -287,35 +320,35 @@ class _Worklist:
             return False
 
         if name in _COMMUTATIVE:
-            a, b = pins["i0"], pins["i1"]
-            ca, cb = _const_of(a), _const_of(b)
+            a, b = ins
+            ca, cb = const_of(a), const_of(b)
             if ca is not None and cb is None:
                 a, b, ca, cb = b, a, cb, ca  # constant on the right
-                pins["i0"], pins["i1"] = a, b
+                self.ins[cell] = (a, b)
             if cb is not None:
                 return self._become(cell, _WITH_CONST[name][cb], a)
-            if a is b:
+            if a == b:
                 return self._become(cell, _SAME_INPUTS[name], a)
         return False
 
-    def _cse(self, cell: Cell) -> bool:
+    def _cse(self, cell: int) -> bool:
         """Merge *cell* into a live twin; True if it was merged away."""
-        if cell.uid in self.keys:
+        if cell in self.keys:
             return False
-        ctype = cell.ctype
-        ins = tuple(cell.pins[pin].uid for pin in ctype.inputs)
-        if ctype.name in _COMMUTATIVE and ins[0] > ins[1]:
+        name = self.ctype[cell].name
+        ins = self.ins[cell]
+        if name in _COMMUTATIVE and ins[0] > ins[1]:
             ins = (ins[1], ins[0])
-        key = (ctype.name, ins)
+        key = (name, ins)
         twin = self.table.get(key)
         if twin is None:
             self.table[key] = cell
-            self.keys[cell.uid] = key
+            self.keys[cell] = key
             return False
-        self._replace(cell.pins["y"], twin.pins["y"])
+        self._replace(self.out[cell], self.out[twin])
         return True
 
-    def _mux_chain(self, cell: Cell) -> bool:
+    def _mux_chain(self, cell: int) -> bool:
         """Collapse a pass-through multiplexer chain one link at a time.
 
         ``y1 = s1 ? x : (s2 ? x : z)``  →  ``y1 = (s1|s2) ? x : z`` and the
@@ -326,46 +359,43 @@ class _Worklist:
         mux is only bypassed when this mux is its only load, so it dies
         unless an output reads it too.
         """
-        pins = cell.pins
-        d0, d1, sel = pins["d0"], pins["d1"], pins["s"]
-        for arm, shared in (("d0", d1), ("d1", d0)):
-            inner_net = pins[arm]
-            if inner_net.driver is None:
+        d0, d1, sel = self.ins[cell]
+        for arm, inner_net, shared in (("d0", d0, d1), ("d1", d1, d0)):
+            inner = self.driver[inner_net]
+            if inner < 0:
                 continue
-            inner = inner_net.driver[0]
-            if inner.ctype.name != "MUX2" or inner is cell:
+            if self.ctype[inner].name != "MUX2" or inner == cell:
                 continue
             if not self._single_load(inner_net):
                 continue
-            i_d0, i_d1 = inner.pins["d0"], inner.pins["d1"]
-            i_sel = inner.pins["s"]
-            new = dict(pins)
-            base = cell.name
-            if arm == "d0" and i_d0 is shared:
+            i_d0, i_d1, i_sel = self.ins[inner]
+            new_d0, new_d1 = d0, d1
+            base = self.arena.cell_name(cell)
+            if arm == "d0" and i_d0 == shared:
                 # y = s ? x : (si ? z : x)  ->  y = (s | ~si) ? x : z
-                ninv = self._add(INV, f"{base}_inv", f"{base}_ni", a=i_sel)
-                new["s"] = self._add(OR2, f"{base}_c", f"{base}_or",
-                                     i0=sel, i1=ninv)
-                new["d0"] = i_d1
-            elif arm == "d0" and i_d1 is shared:
+                ninv = self._add(INV, f"{base}_inv", f"{base}_ni", i_sel)
+                new_s = self._add(OR2, f"{base}_c", f"{base}_or",
+                                  sel, ninv)
+                new_d0 = i_d1
+            elif arm == "d0" and i_d1 == shared:
                 # y = s ? x : (si ? x : z)  ->  y = (s | si) ? x : z
-                new["s"] = self._add(OR2, f"{base}_c", f"{base}_or",
-                                     i0=sel, i1=i_sel)
-                new["d0"] = i_d0
-            elif arm == "d1" and i_d0 is shared:
+                new_s = self._add(OR2, f"{base}_c", f"{base}_or",
+                                  sel, i_sel)
+                new_d0 = i_d0
+            elif arm == "d1" and i_d0 == shared:
                 # y = s ? (si ? z : x) : x  ->  y = (s & si) ? z : x
-                new["s"] = self._add(AND2, f"{base}_c", f"{base}_and",
-                                     i0=sel, i1=i_sel)
-                new["d1"] = i_d1
-            elif arm == "d1" and i_d1 is shared:
+                new_s = self._add(AND2, f"{base}_c", f"{base}_and",
+                                  sel, i_sel)
+                new_d1 = i_d1
+            elif arm == "d1" and i_d1 == shared:
                 # y = s ? (si ? x : z) : x  ->  y = (s & ~si) ? z : x
-                ninv = self._add(INV, f"{base}_inv", f"{base}_ni", a=i_sel)
-                new["s"] = self._add(AND2, f"{base}_c", f"{base}_and",
-                                     i0=sel, i1=ninv)
-                new["d1"] = i_d0
+                ninv = self._add(INV, f"{base}_inv", f"{base}_ni", i_sel)
+                new_s = self._add(AND2, f"{base}_c", f"{base}_and",
+                                  sel, ninv)
+                new_d1 = i_d0
             else:
                 continue
-            self._repin(cell, cell.ctype, new)
+            self._repin(cell, self.ctype[cell], (new_d0, new_d1, new_s))
             return True
         return False
 
@@ -381,34 +411,44 @@ class _Worklist:
 
     def _drain(self) -> None:
         queue, queued, dead = self.queue, self.queued, self.dead
+        ctype = self.ctype
         while queue:
             cell = queue.pop()
-            queued.discard(cell.uid)
-            if cell.uid in dead:
+            queued.discard(cell)
+            if cell in dead:
                 continue
             if self._simplify(cell) or self._cse(cell):
                 continue
-            if cell.ctype.name == "MUX2":
+            if ctype[cell].name == "MUX2":
                 self._mux_chain(cell)
 
     def run(self) -> None:
         self._drain()
         while self._sweep():
             self._drain()
-        circuit = self.circuit
-        connected = {uid for uid, readers in self.readers.items() if readers}
-        connected.update(cell.pins[cell.ctype.outputs[0]].uid
-                         for cell in circuit.cells)
-        buses = [*circuit.input_buses.values(),
-                 *circuit.output_buses.values()]
-        for box in circuit.blackboxes:
+        arena = self.arena
+        connected = {net for net, readers in self.readers.items() if readers}
+        connected.update(self.out[cell] for cell in arena.cells)
+        buses = [*arena.input_buses.values(), *arena.output_buses.values()]
+        for box in arena.blackboxes:
             buses.extend(box.input_buses.values())
             buses.extend(box.output_buses.values())
-        connected.update(net.uid for bus in buses for net in bus)
-        circuit.nets = [net for net in circuit.nets if net.uid in connected]
+        connected.update(net for bus in buses for net in bus)
+        arena.nets = [net for net in arena.nets if net in connected]
 
 
-def optimize(circuit: Circuit) -> Circuit:
-    """Optimize *circuit* in place to a fixed point; returns it."""
-    _Worklist(circuit).run()
-    return circuit
+def optimize(netlist: Circuit | GateArena) -> Circuit:
+    """Optimize *netlist* to a fixed point and return the circuit.
+
+    A :class:`Circuit` is optimized in place and returned: its surviving
+    :class:`~repro.netlist.circuit.Cell` and
+    :class:`~repro.netlist.circuit.Net` objects stay.  A
+    :class:`GateArena` (the mapper's output) is optimized in place, and
+    a new circuit is built from the cells and nets that survive.
+    """
+    if isinstance(netlist, GateArena):
+        _Worklist(netlist).run()
+        return netlist.to_circuit()
+    arena = GateArena.from_circuit(netlist)
+    _Worklist(arena).run()
+    return arena.to_circuit(into=netlist)

@@ -30,11 +30,28 @@ its instance path (``top/child/...``) so the Fig. 12 per-module report can
 re-aggregate areas afterwards.  Instances of black-box IP modules (RTL
 modules with an ``attributes["blackbox_ip"]`` marker) become netlist-level
 :class:`~repro.netlist.circuit.BlackBox` entries for the linker.
+
+The mapper emits into a :class:`~repro.netlist.arena.GateArena`: nets are
+ints and a gate is a few list appends, its name kept as parts.  The
+flows link and optimize that arena and build objects only for the cells
+that survive; :func:`map_module` builds the whole raw
+:class:`~repro.netlist.circuit.Circuit` from it.
 """
 
 from __future__ import annotations
 
-from repro.netlist.circuit import Circuit, Net, NetlistError
+from repro.netlist.arena import GateArena
+from repro.netlist.cells import (
+    AND2,
+    DFF,
+    INV,
+    MUX2,
+    OR2,
+    XNOR2,
+    XOR2,
+    CellType,
+)
+from repro.netlist.circuit import Circuit, NetlistError
 from repro.rtl.ir import (
     BinOp,
     Carrier,
@@ -56,7 +73,8 @@ from repro.rtl.ir import (
     WireCarrier,
 )
 
-Bits = list[Net]
+#: A bus of arena nets, LSB first.
+Bits = list[int]
 
 
 def _is_signed_kind(kind: str) -> bool:
@@ -64,12 +82,12 @@ def _is_signed_kind(kind: str) -> bool:
 
 
 class TechMapper:
-    """Maps one :class:`RtlModule` tree onto a :class:`Circuit`."""
+    """Maps one :class:`RtlModule` tree into a :class:`GateArena`."""
 
     def __init__(self, module: RtlModule) -> None:
         module.validate()
         self.module = module
-        self.circuit = Circuit(module.name)
+        self.arena = GateArena(module.name)
         self._expr_nets: dict[int, Bits] = {}
         self._carrier_nets: dict[int, Bits] = {}
         self._carrier_prefix: dict[int, str] = {}
@@ -84,13 +102,13 @@ class TechMapper:
     # ------------------------------------------------------------------
     # public entry point
     # ------------------------------------------------------------------
-    def map(self) -> Circuit:
-        """Run the mapping and return the finished circuit."""
+    def map(self) -> GateArena:
+        """Run the mapping and return the finished arena."""
         self._walk(self.module, self.module.name)
         # Primary inputs.
         for name, carrier in self.module.inputs.items():
-            nets = self.circuit.new_bus(name, carrier.width)
-            self.circuit.mark_input(name, nets)
+            nets = self.arena.new_bus(name, carrier.width)
+            self.arena.mark_input(name, nets)
             self._carrier_nets[carrier.uid] = nets
         # Black-box IP instances (deferred from the walk).
         for instance, prefix, child_prefix in self._blackboxes:
@@ -100,13 +118,14 @@ class TechMapper:
             d_nets = self._map(reg.next, prefix)
             q_nets = self._q_nets(reg, prefix)
             for k in range(reg.width):
-                self._add(prefix, "DFF", f"{reg.name}[{k}]",
-                          d=d_nets[k], q=q_nets[k])
+                self._cell_seq += 1
+                self.arena.new_cell(DFF, (d_nets[k],), q_nets[k], prefix,
+                                    f"{reg.name}[{k}]", self._cell_seq)
         # Primary outputs.
         for name, expr in self.module.outputs.items():
             nets = self._map(expr, self.module.name)
-            self.circuit.mark_output(name, nets)
-        return self.circuit
+            self.arena.mark_output(name, nets)
+        return self.arena
 
     # ------------------------------------------------------------------
     # hierarchy walk
@@ -140,42 +159,34 @@ class TechMapper:
             inputs[port_name] = self._map(expr, parent_prefix)
         outputs: dict[str, Bits] = {}
         for port_name, carrier in instance.output_carriers.items():
-            nets = self.circuit.new_bus(
+            nets = self.arena.new_bus(
                 f"{child_prefix}/{port_name}", carrier.width
             )
             outputs[port_name] = nets
             self._carrier_nets[carrier.uid] = nets
         ip_name = instance.module.attributes["blackbox_ip"]
-        self.circuit.add_blackbox(child_prefix, ip_name, inputs, outputs)
+        self.arena.add_blackbox(child_prefix, ip_name, inputs, outputs)
 
     # ------------------------------------------------------------------
     # low-level helpers
     # ------------------------------------------------------------------
-    def _add(self, prefix: str, ctype: str, hint: str, **pins: Net):
-        self._cell_seq += 1
-        name = f"{prefix}/{hint}#{self._cell_seq}"
-        return self.circuit.add_cell(name, ctype, **pins)
+    def _gate(self, prefix: str, ctype: CellType, hint: str,
+              *ins: int) -> int:
+        seq = self._cell_seq
+        self._cell_seq = seq + 1
+        return self.arena.gate(ctype, ins, prefix, hint, seq)
 
-    def _gate(self, prefix: str, ctype: str, hint: str, *ins: Net) -> Net:
-        out = self.circuit.new_net(f"{prefix}/{hint}#n{self._cell_seq}")
-        if len(ins) == 1:
-            self._add(prefix, ctype, hint, a=ins[0], y=out)
-        else:
-            self._add(prefix, ctype, hint, i0=ins[0], i1=ins[1], y=out)
-        return out
-
-    def _mux_net(self, prefix: str, hint: str, sel: Net, d1: Net,
-                 d0: Net) -> Net:
-        out = self.circuit.new_net(f"{prefix}/{hint}#n{self._cell_seq}")
-        self._add(prefix, "MUX2", hint, d0=d0, d1=d1, s=sel, y=out)
-        return out
+    def _mux_net(self, prefix: str, hint: str, sel: int, d1: int,
+                 d0: int) -> int:
+        return self._gate(prefix, MUX2, hint, d0, d1, sel)
 
     def _const_bits(self, raw: int, width: int) -> Bits:
         return [
-            self.circuit.const_net((raw >> k) & 1) for k in range(width)
+            self.arena.const_net((raw >> k) & 1) for k in range(width)
         ]
 
-    def _tree(self, prefix: str, ctype: str, hint: str, nets: Bits) -> Net:
+    def _tree(self, prefix: str, ctype: CellType, hint: str,
+              nets: Bits) -> int:
         """Balanced reduction tree over *nets* with 2-input gates."""
         if not nets:
             raise NetlistError("reduction over empty bus")
@@ -193,7 +204,7 @@ class TechMapper:
     def _extend(self, nets: Bits, width: int, signed: bool) -> Bits:
         if len(nets) >= width:
             return nets[:width]
-        fill = nets[-1] if signed else self.circuit.const_net(0)
+        fill = nets[-1] if signed else self.arena.const_net(0)
         return nets + [fill] * (width - len(nets))
 
     def _extend_expr(self, expr: Expr, nets: Bits, width: int) -> Bits:
@@ -202,21 +213,21 @@ class TechMapper:
     # ------------------------------------------------------------------
     # arithmetic building blocks
     # ------------------------------------------------------------------
-    def _full_adder(self, prefix: str, a: Net, b: Net,
-                    cin: Net | None) -> tuple[Net, Net]:
+    def _full_adder(self, prefix: str, a: int, b: int,
+                    cin: int | None) -> tuple[int, int]:
         """Returns (sum, carry_out)."""
-        axb = self._gate(prefix, "XOR2", "fa_x", a, b)
+        axb = self._gate(prefix, XOR2, "fa_x", a, b)
         if cin is None:
-            carry = self._gate(prefix, "AND2", "fa_c", a, b)
+            carry = self._gate(prefix, AND2, "fa_c", a, b)
             return axb, carry
-        s = self._gate(prefix, "XOR2", "fa_s", axb, cin)
-        c1 = self._gate(prefix, "AND2", "fa_a1", a, b)
-        c2 = self._gate(prefix, "AND2", "fa_a2", axb, cin)
-        carry = self._gate(prefix, "OR2", "fa_o", c1, c2)
+        s = self._gate(prefix, XOR2, "fa_s", axb, cin)
+        c1 = self._gate(prefix, AND2, "fa_a1", a, b)
+        c2 = self._gate(prefix, AND2, "fa_a2", axb, cin)
+        carry = self._gate(prefix, OR2, "fa_o", c1, c2)
         return s, carry
 
     def _ripple_add(self, prefix: str, a: Bits, b: Bits,
-                    cin: Net | None = None) -> Bits:
+                    cin: int | None = None) -> Bits:
         """Width-preserving ripple-carry addition (equal-width operands)."""
         if len(a) != len(b):
             raise NetlistError("ripple_add operands must be pre-extended")
@@ -228,12 +239,12 @@ class TechMapper:
         return out
 
     def _invert_bits(self, prefix: str, nets: Bits) -> Bits:
-        return [self._gate(prefix, "INV", "inv", n) for n in nets]
+        return [self._gate(prefix, INV, "inv", n) for n in nets]
 
     def _sub_bits(self, prefix: str, a: Bits, b: Bits) -> Bits:
         """a - b, width preserved (operands pre-extended)."""
         nb = self._invert_bits(prefix, b)
-        one = self.circuit.const_net(1)
+        one = self.arena.const_net(1)
         return self._ripple_add(prefix, a, nb, cin=one)
 
     # ------------------------------------------------------------------
@@ -260,7 +271,7 @@ class TechMapper:
         nets = self._dff_q.get(reg.uid)
         if nets is None:
             nets = [
-                self.circuit.new_net(f"{prefix}/{reg.name}_q[{k}]")
+                self.arena.new_net(f"{prefix}/{reg.name}_q[{k}]")
                 for k in range(reg.width)
             ]
             self._dff_q[reg.uid] = nets
@@ -336,18 +347,18 @@ class TechMapper:
         if expr.op == "invert":
             return self._invert_bits(prefix, nets)
         if expr.op == "not":
-            return [self._gate(prefix, "INV", "not", nets[0])]
+            return [self._gate(prefix, INV, "not", nets[0])]
         if expr.op == "neg":
             inverted = self._invert_bits(prefix, nets)
             zero = self._const_bits(0, len(nets))
-            one = self.circuit.const_net(1)
+            one = self.arena.const_net(1)
             return self._ripple_add(prefix, inverted, zero, cin=one)
         if expr.op == "reduce_or":
-            return [self._tree(prefix, "OR2", "ror", nets)]
+            return [self._tree(prefix, OR2, "ror", nets)]
         if expr.op == "reduce_and":
-            return [self._tree(prefix, "AND2", "rand", nets)]
+            return [self._tree(prefix, AND2, "rand", nets)]
         if expr.op == "reduce_xor":
-            return [self._tree(prefix, "XOR2", "rxor", nets)]
+            return [self._tree(prefix, XOR2, "rxor", nets)]
         raise NetlistError(f"unmappable unary op {expr.op!r}")
 
     def _map_binop(self, expr: BinOp, prefix: str) -> Bits:
@@ -358,7 +369,7 @@ class TechMapper:
             width = expr.width
             a_ext = self._extend(a_nets, width, signed=False)
             b_ext = self._extend(b_nets, width, signed=False)
-            ctype = {"and": "AND2", "or": "OR2", "xor": "XOR2"}[op]
+            ctype = {"and": AND2, "or": OR2, "xor": XOR2}[op]
             return [
                 self._gate(prefix, ctype, op, a_ext[k], b_ext[k])
                 for k in range(width)
@@ -377,13 +388,13 @@ class TechMapper:
             a_ext = self._extend_expr(expr.a, a_nets, width)
             b_ext = self._extend_expr(expr.b, b_nets, width)
             columns = [
-                self._gate(prefix, "XNOR2", "eq", a_ext[k], b_ext[k])
+                self._gate(prefix, XNOR2, "eq", a_ext[k], b_ext[k])
                 for k in range(width)
             ]
-            equal = self._tree(prefix, "AND2", "eq_t", columns)
+            equal = self._tree(prefix, AND2, "eq_t", columns)
             if op == "eq":
                 return [equal]
-            return [self._gate(prefix, "INV", "ne", equal)]
+            return [self._gate(prefix, INV, "ne", equal)]
         if op in ("lt", "le", "gt", "ge"):
             width = max(len(a_nets), len(b_nets)) + 1
             a_ext = self._extend_expr(expr.a, a_nets, width)
@@ -395,7 +406,7 @@ class TechMapper:
             sign = diff[-1]
             if op in ("lt", "gt"):
                 return [sign]
-            return [self._gate(prefix, "INV", op, sign)]
+            return [self._gate(prefix, INV, op, sign)]
         raise NetlistError(f"unmappable binary op {op!r}")
 
     def _map_mul(self, expr: BinOp, a_nets: Bits, b_nets: Bits,
@@ -406,7 +417,7 @@ class TechMapper:
         accum: Bits | None = None
         for k in range(width):
             row = [
-                self._gate(prefix, "AND2", "pp", a_ext[j], b_ext[k])
+                self._gate(prefix, AND2, "pp", a_ext[j], b_ext[k])
                 for j in range(width - k)
             ]
             shifted = self._const_bits(0, k) + row
@@ -424,7 +435,7 @@ class TechMapper:
         nets = self._map(expr.a, prefix)
         width = expr.width
         amount = expr.amount
-        zero = self.circuit.const_net(0)
+        zero = self.arena.const_net(0)
         if expr.left:
             if amount >= width:
                 return [zero] * width
@@ -438,7 +449,7 @@ class TechMapper:
         nets = self._map(expr.a, prefix)
         amount = self._map(expr.amount, prefix)
         width = expr.width
-        zero = self.circuit.const_net(0)
+        zero = self.arena.const_net(0)
         fill = nets[-1] if (
             not expr.left and _is_signed_kind(expr.spec.kind)
         ) else zero
@@ -463,5 +474,5 @@ class TechMapper:
 
 
 def map_module(module: RtlModule) -> Circuit:
-    """Convenience wrapper: technology-map *module* into a fresh circuit."""
-    return TechMapper(module).map()
+    """Technology-map *module* into a fresh, unoptimized circuit."""
+    return TechMapper(module).map().to_circuit()

@@ -45,10 +45,11 @@ _STAGE_SOURCES: dict[str, tuple[str, ...]] = {
     "synthesize": ("synth", "osss", "hdl", "types", "rtl/ir.py",
                    "rtl/build.py"),
     "lint": ("rtl/lint.py", "rtl/ir.py", "analyze/diagnostics.py"),
-    # One stage maps, links (VHDL flow) and optimizes, and stores only
-    # the optimized netlist.
+    # One stage maps, links (VHDL flow) and optimizes on the gate arena,
+    # and stores only the optimized netlist.
     "opt": ("netlist/techmap.py", "netlist/linker.py", "netlist/opt.py",
-            "netlist/circuit.py", "netlist/cells.py", "rtl/ir.py"),
+            "netlist/arena.py", "netlist/circuit.py", "netlist/cells.py",
+            "rtl/ir.py"),
     "sta": ("netlist/sta.py", "netlist/cells.py"),
     "pnr": ("netlist/pnr.py", "netlist/circuit.py"),
     "sta_routed": ("netlist/sta.py", "netlist/pnr.py", "netlist/cells.py"),

@@ -237,9 +237,11 @@ _ORPHANING_PARENT = textwrap.dedent("""\
 
     from repro.exec import SupervisedPool
 
+    # One write(2) per line: print() may split a line into several
+    # writes, and the three processes share the pipe.
     class PidSession:
         def __init__(self):
-            print("worker", os.getpid(), flush=True)
+            os.write(1, f"worker {os.getpid()}\\n".encode())
 
         def run(self, payload):
             return payload
@@ -249,7 +251,7 @@ _ORPHANING_PARENT = textwrap.dedent("""\
     def on_result(idx, value):
         done.append(idx)
         if len(done) == 4:
-            print("idle", flush=True)
+            os.write(1, b"idle\\n")
             time.sleep(300)
 
     SupervisedPool(PidSession, jobs=2).run(range(4), on_result=on_result)

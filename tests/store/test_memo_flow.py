@@ -176,6 +176,7 @@ class TestOneGateStage:
 
     @pytest.mark.parametrize("source", [
         "netlist/techmap.py", "netlist/linker.py", "netlist/opt.py",
+        "netlist/arena.py",
     ])
     def test_opt_key_covers_map_link_and_optimize(self, source_copy,
                                                   source):
