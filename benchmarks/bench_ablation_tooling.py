@@ -29,19 +29,18 @@ def _rtl():
     )
 
 
-def _optimize_without_mux_chain(circuit):
+def _optimize_without_mux_chain(arena):
     saved = opt_module._Worklist._mux_chain
     opt_module._Worklist._mux_chain = lambda self, cell: False
     try:
-        opt_module.optimize(circuit)
+        return opt_module.optimize(arena)
     finally:
         opt_module._Worklist._mux_chain = saved
-    return circuit
 
 
 def test_ablation_optimizer_maturity(benchmark):
     rtl = _rtl()
-    raw = map_module(rtl)
+    raw = map_module(rtl).to_circuit()
     raw_area = total_area(raw)
     raw_cells = len(raw.cells)
     no_chain = _optimize_without_mux_chain(map_module(_rtl()))

@@ -63,9 +63,7 @@ def _netlist(factory):
         factory(Clock("clk", 10 * NS), Signal("rst", bit(), Bit(1))),
         observe_children=False,
     )
-    circuit = map_module(rtl)
-    optimize(circuit)
-    return circuit
+    return optimize(map_module(rtl))
 
 
 def test_e3_class_resolution_adds_nothing(benchmark):

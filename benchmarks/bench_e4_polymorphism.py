@@ -60,9 +60,7 @@ def _netlist(factory):
         factory(Clock("clk", 10 * NS), Signal("rst", bit(), Bit(1))),
         observe_children=False,
     )
-    circuit = map_module(rtl)
-    optimize(circuit)
-    return circuit
+    return optimize(map_module(rtl))
 
 
 def test_e4_polymorphism_cost(benchmark):

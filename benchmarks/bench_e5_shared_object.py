@@ -92,14 +92,11 @@ def _osss_netlist(policy):
         "h", Clock("clk", 10 * NS), Signal("rst", bit(), Bit(1))
     )
     rtl = synthesize(host, observe_children=False)
-    circuit = map_module(rtl)
-    optimize(circuit)
-    return circuit
+    return optimize(map_module(rtl))
 
 
 def test_e5_shared_object_cost(benchmark):
-    manual = map_module(manual_arbiter_rtl())
-    optimize(manual)
+    manual = optimize(map_module(manual_arbiter_rtl()))
     rows = [{
         "description": "manual time-mux + priority (hand RTL)",
         "cells": len(manual.cells),

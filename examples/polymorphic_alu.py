@@ -48,8 +48,7 @@ def main() -> None:
     # --- synthesis: §8 'multiplexers are being inserted' ---------------
     rtl = synthesize(PolyAluUnit("alu", Clock("clk", 10 * NS),
                                  Signal("rst", bit(), Bit(1))))
-    circuit = map_module(rtl)
-    optimize(circuit)
+    circuit = optimize(map_module(rtl))
     histogram = cell_histogram(circuit)
     print(f"\nsynthesized: {len(circuit.cells)} cells, "
           f"{total_area(circuit):.1f} GE, "

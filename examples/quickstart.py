@@ -63,8 +63,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     rtl = synthesize(CamSync("sync", Clock("clk", 15 * NS),
                              Signal("rst", bit(), Bit(1))))
-    circuit = map_module(rtl)
-    optimize(circuit)
+    circuit = optimize(map_module(rtl))
     timing = analyze(circuit)
     print(f"\n[3] synthesized: {rtl.attributes.get('fsm_states')} "
           f"-> {len(circuit.cells)} cells, "

@@ -86,8 +86,7 @@ def main() -> None:
     print(f"\ngenerated arbiter: {arbiter.module.name} "
           f"(policy={arbiter.module.attributes['policy']}, "
           f"registers={len(arbiter.module.registers)})")
-    circuit = map_module(rtl)
-    optimize(circuit)
+    circuit = optimize(map_module(rtl))
     print(f"whole design: {len(circuit.cells)} cells, "
           f"{total_area(circuit):.1f} GE, "
           f"Fmax {analyze(circuit).fmax_mhz:.0f} MHz")

@@ -26,10 +26,10 @@ each stage is then memoized through the design library — its inputs are
 fingerprinted, cached artifacts are replayed instead of recomputed, and
 downstream stage keys chain on upstream artifact digests, so a warm
 rebuild of an unchanged design skips every stage.  Every hit is lazy,
-and each flow stores its summary row as a stage of its own, so a warm
-build reads that row and the analyzer and lint findings, and leaves
-netlists, timing reports and placements on disk until something asks
-for them.  Cached or not, the same spans open in the same order (with
+and each flow stores its summary row as a stage of its own
+(:mod:`repro.eval.summary`), so a warm build reads that row and the
+analyzer and lint findings, and leaves netlists, timing reports and
+placements on disk until something asks for them.  Cached or not, the same spans open in the same order (with
 ``cache=hit/miss/off`` annotations) and the resulting
 :class:`FlowResult` is equivalent; summaries are byte-identical across
 cold, warm and cache-disabled runs.
@@ -53,13 +53,14 @@ from repro.analyze import (
 import repro.netlist.opt
 import repro.netlist.techmap
 import repro.synth.modulegen
+from repro.eval.summary import summary_stage
 from repro.fault.harden import harden_circuit
 from repro.hdl.module import Module
 from repro.netlist.area import AreaReport, total_area
 from repro.netlist.circuit import Circuit
 from repro.netlist.linker import link
 from repro.netlist.pnr import place
-from repro.netlist.sta import TimingReport, analyze
+from repro.netlist.sta import analyze
 from repro.obs.profiler import NULL_TRACER, Tracer
 from repro.rtl.ir import RtlModule
 from repro.rtl.lint import lint_module
@@ -86,11 +87,6 @@ from repro.store import (
     serialize_testability,
     serialize_timing,
 )
-
-
-#: The columns of a flow's summary row, in order.
-_SUMMARY_FIELDS = ("flow", "area_ge", "cells", "flops", "fmax_mhz",
-                  "fmax_routed_mhz", "critical_ns")
 
 
 def _artifact(key: str, doc: str) -> property:
@@ -148,25 +144,6 @@ class FlowResult:
                 f"fmax={self.fmax_mhz:.0f}MHz)")
 
 
-def _summary_row(name: str, circuit: Circuit, timing: TimingReport,
-                 timing_routed: TimingReport) -> dict[str, Any]:
-    return {
-        "flow": name,
-        "area_ge": round(total_area(circuit), 1),
-        "cells": len(circuit.cells),
-        "flops": len(circuit.flops()),
-        "fmax_mhz": round(timing.fmax_mhz, 1),
-        "fmax_routed_mhz": round(timing_routed.fmax_mhz, 1),
-        "critical_ns": round(timing_routed.critical_path_ns, 3),
-    }
-
-
-def _load_summary(doc: Any) -> dict[str, Any]:
-    if not isinstance(doc, dict) or tuple(doc) != _SUMMARY_FIELDS:
-        raise StoreError("expected a flow summary row")
-    return doc
-
-
 def _finish(name: str, rtl_outcome: StageOutcome, opt: StageOutcome,
             diagnostics: list[Diagnostic] | None,
             runner: StageRunner) -> FlowResult:
@@ -195,12 +172,7 @@ def _finish(name: str, rtl_outcome: StageOutcome, opt: StageOutcome,
         dump=lambda t: serialize_timing(t, circuit()),
         load=lambda doc: deserialize_timing(doc, circuit()),
     )
-    summary = runner.run(
-        "summary", (opt.digest, sta.digest, sta_routed.digest, name),
-        compute=lambda: _summary_row(name, circuit(), sta.value(),
-                                     sta_routed.value()),
-        dump=lambda row: row, load=_load_summary,
-    )
+    summary = summary_stage(name, opt, sta, sta_routed, runner)
     return FlowResult(name, {
         "rtl": rtl_outcome, "circuit": opt, "timing": sta,
         "placement": pnr, "timing_routed": sta_routed, "summary": summary,

@@ -1,4 +1,4 @@
-"""Integer gate arena: the raw netlist the mapper, linker and optimizer share.
+"""Integer gate arena: the one netlist mapping, linking and optimizing share.
 
 Technology mapping makes about ten times the cells optimization keeps
 (60 162 → 5 777 on the OSSS ExpoCU).  Built as :class:`Cell` and
@@ -11,12 +11,19 @@ optimizing allocate almost nothing the collector tracks.  Names are kept
 as parts and formatted only for the cells and nets a :class:`Circuit` is
 built from (:meth:`GateArena.to_circuit`).
 
-The arena answers the construction calls of :class:`Circuit` that the
-linker makes (``new_net``, ``new_bus``, ``const_net``, ``add_cell``,
-``add_blackbox``, ``blackboxes``), with ints where a circuit takes nets,
-and keeps the circuit's ordered ``cells`` and ``nets`` as id lists, so
-the optimizer's edits map one for one onto the ones it made on a
-circuit.
+There is one way into gates: the mapper emits an arena
+(:func:`~repro.netlist.techmap.map_module`), the linker splices IP into
+it (:func:`~repro.netlist.linker.link`), and
+:func:`~repro.netlist.opt.optimize` rewrites it and returns a new
+:class:`Circuit` of the survivors; :meth:`GateArena.to_circuit` gives
+the netlist as it stands.  The construction calls are :class:`Circuit`'s
+(``new_net``, ``new_bus``, ``const_net``, ``add_cell``, ``mark_input``,
+``mark_output``) with ints where a circuit takes nets, plus
+``add_blackbox`` for IP instances, so a netlist is built by hand on an
+arena as it would be on a circuit.  Every cell's pins are in library
+order, inputs then output, as :func:`~repro.store.deserialize_circuit`
+builds them, so a netlist renders one structural Verilog whether it was
+just optimized or loaded from the store.
 """
 
 from __future__ import annotations
@@ -40,9 +47,6 @@ class GateArena:
         self.cell_pre: list[str] = []
         self.cell_hint: list[str | None] = []
         self.cell_seq: list[int] = []
-        #: The pin order of a cell whose pins were not given in library
-        #: order (a circuit's ``Cell.pins`` keeps it).
-        self.pin_order: dict[int, tuple[str, ...]] = {}
         # Per net: its driving cell (-1 for none) and name parts.
         self.driver: list[int] = []
         self.net_pre: list[str] = []
@@ -57,11 +61,6 @@ class GateArena:
         #: Black boxes whose buses hold net ids.
         self.blackboxes: list[BlackBox] = []
         self._const: dict[int, int] = {}
-        # The objects of a circuit the arena was read from
-        # (from_circuit), by id; ids past the end have none.
-        self._net_obj: list[Net] = []
-        self._cell_obj: list[Cell] = []
-        self._box_obj: dict[BlackBox, BlackBox] = {}
 
     # ------------------------------------------------------------------
     # names: "{pre}/{hint}#{seq}" for cells and "{pre}/{hint}#n{seq}" for
@@ -146,15 +145,8 @@ class GateArena:
         if self.driver[out] >= 0:
             raise NetlistError(
                 f"net {self.net_name(out)!r} has multiple drivers")
-        cell = self.new_cell(ctype, tuple(pins[p] for p in ctype.inputs),
+        return self.new_cell(ctype, tuple(pins[p] for p in ctype.inputs),
                              out, name)
-        self._keep_pin_order(cell, tuple(pins))
-        return cell
-
-    def _keep_pin_order(self, cell: int, order: tuple[str, ...]) -> None:
-        ctype = self.ctype[cell]
-        if order != (*ctype.inputs, *ctype.outputs):
-            self.pin_order[cell] = order
 
     def const_net(self, value: int) -> int:
         """The shared constant-0 or constant-1 net."""
@@ -216,60 +208,11 @@ class GateArena:
     # ------------------------------------------------------------------
     # conversion
     # ------------------------------------------------------------------
-    @classmethod
-    def from_circuit(cls, circuit: Circuit) -> "GateArena":
-        """The arena of *circuit*; :meth:`to_circuit` with ``into=circuit``
-        writes it back onto the same objects."""
-        arena = cls(circuit.name)
-        ids: dict[int, int] = {}
-
-        def net_id(net: Net) -> int:
-            found = ids.get(net.uid)
-            if found is None:
-                # Listed in arena.nets only if circuit.nets owns it.
-                found = ids[net.uid] = arena._add_net(net.name, None, 0)
-                arena._net_obj.append(net)
-            return found
-
-        for net in circuit.nets:
-            arena.nets.append(net_id(net))
-        for cell in circuit.cells:
-            ctype = cell.ctype
-            index = arena.new_cell(
-                ctype, tuple(net_id(cell.pins[p]) for p in ctype.inputs),
-                net_id(cell.pins[ctype.outputs[0]]), cell.name)
-            arena._keep_pin_order(index, tuple(cell.pins))
-            arena._cell_obj.append(cell)
-
-        def buses(named: dict[str, list[Net]]) -> dict[str, list[int]]:
-            return {name: [net_id(net) for net in nets]
-                    for name, nets in named.items()}
-
-        arena.input_buses = buses(circuit.input_buses)
-        arena.output_buses = buses(circuit.output_buses)
-        for box in circuit.blackboxes:
-            copy = BlackBox(box.name, box.ip_name, buses(box.input_buses),
-                            buses(box.output_buses))
-            arena.blackboxes.append(copy)
-            arena._box_obj[copy] = box
-        arena._const = {value: net_id(net)
-                        for value, net in circuit._const.items()}
-        return arena
-
-    def to_circuit(self, into: Circuit | None = None) -> Circuit:
-        """A :class:`Circuit` of :attr:`cells` and :attr:`nets`.
-
-        Objects are made only for ids that have none yet, so writing
-        back into the circuit the arena was read from (*into*) keeps
-        every surviving :class:`Cell` and :class:`Net` object; a net
-        left without a driver loses its ``driver``.
-        """
-        circuit = into if into is not None else Circuit(self.name)
-        net_obj: list[Net | None] = list(self._net_obj)
-        net_obj.extend([None] * (len(self.driver) - len(net_obj)))
-        for net, obj in enumerate(self._net_obj):
-            if self.driver[net] < 0:
-                obj.driver = None
+    def to_circuit(self) -> Circuit:
+        """A new :class:`Circuit` of :attr:`cells` and :attr:`nets`, every
+        cell's pins in library order."""
+        circuit = Circuit(self.name)
+        net_obj: list[Net | None] = [None] * len(self.driver)
 
         def obj_of(net: int) -> Net:
             obj = net_obj[net]
@@ -277,47 +220,28 @@ class GateArena:
                 obj = net_obj[net] = Net(self.net_name(net))
             return obj
 
-        nets = [obj_of(net) for net in self.nets]
-        cell_obj, pin_order = self._cell_obj, self.pin_order
+        circuit.nets = [obj_of(net) for net in self.nets]
         ctypes, ins, out = self.ctype, self.ins, self.out
-        cells = []
+        cells = circuit.cells
         for cell in self.cells:
             ctype = ctypes[cell]
+            pin = ctype.outputs[0]
             pins = dict(zip(ctype.inputs, map(obj_of, ins[cell])))
-            y = obj_of(out[cell])
-            pins[ctype.outputs[0]] = y
-            order = pin_order.get(cell)
-            if order is not None:
-                pins = {pin: pins[pin] for pin in order}
-            if cell < len(cell_obj):
-                obj = cell_obj[cell]
-                obj.ctype = ctype
-                obj.pins = pins
-            else:
-                obj = Cell(self.cell_name(cell), ctype, pins)
-            y.driver = (obj, ctype.outputs[0])
+            y = pins[pin] = obj_of(out[cell])
+            obj = Cell(self.cell_name(cell), ctype, pins)
+            y.driver = (obj, pin)
             cells.append(obj)
 
-        def buses(named: dict[str, list[int]],
-                  onto: dict[str, list[Net]]) -> dict[str, list[Net]]:
-            # In place where the circuit has the bus already.
-            for name, ids in named.items():
-                onto.setdefault(name, [])[:] = map(obj_of, ids)
-            return onto
+        def buses(named: dict[str, list[int]]) -> dict[str, list[Net]]:
+            return {name: [obj_of(net) for net in ids]
+                    for name, ids in named.items()}
 
-        circuit.nets = nets
-        circuit.cells = cells
-        circuit.input_buses = buses(self.input_buses, circuit.input_buses)
-        circuit.output_buses = buses(self.output_buses, circuit.output_buses)
-        boxes = []
-        for box in self.blackboxes:
-            obj = self._box_obj.get(box)
-            if obj is None:
-                obj = BlackBox(box.name, box.ip_name, {}, {})
-            buses(box.input_buses, obj.input_buses)
-            buses(box.output_buses, obj.output_buses)
-            boxes.append(obj)
-        circuit.blackboxes = boxes
+        circuit.input_buses = buses(self.input_buses)
+        circuit.output_buses = buses(self.output_buses)
+        circuit.blackboxes = [
+            BlackBox(box.name, box.ip_name, buses(box.input_buses),
+                     buses(box.output_buses))
+            for box in self.blackboxes]
         circuit._const = {value: obj_of(net)
                           for value, net in self._const.items()}
         return circuit

@@ -2,11 +2,13 @@
 
 A :class:`Circuit` is a flat netlist: nets, standard cells from
 :mod:`repro.netlist.cells`, named input/output *buses* (ordered nets,
-LSB-first) and optional black-box instances for separately synthesized IP
-(the paper's Fig. 6 "VHDL IP modules" path, resolved by
-:mod:`repro.netlist.linker`).  Cell names carry a ``path/`` prefix so the
-per-module area report (Fig. 12) can attribute cells to design units after
-flattening.
+LSB-first) and any black-box instances for separately synthesized IP
+(the paper's Fig. 6 "VHDL IP modules" path) still unresolved.  Cell
+names carry a ``path/`` prefix so the per-module area report (Fig. 12)
+can attribute cells to design units after flattening.  Mapping, linking
+(:mod:`repro.netlist.linker`) and optimization work on a
+:class:`~repro.netlist.arena.GateArena`, which builds circuits; every
+cell lists its pins in library order.
 """
 
 from __future__ import annotations
@@ -112,13 +114,18 @@ class Circuit:
 
     def add_cell(self, name: str, ctype: "CellType | str",
                  **pins: Net) -> Cell:
-        """Instantiate a cell; keyword arguments map pin name to net."""
+        """Instantiate a cell; keyword arguments map pin name to net.
+
+        The cell lists its pins in library order, whatever order they
+        were given in.
+        """
         if isinstance(ctype, str):
             ctype = LIBRARY[ctype]
-        missing = [p for p in (*ctype.inputs, *ctype.outputs) if p not in pins]
+        order = (*ctype.inputs, *ctype.outputs)
+        missing = [p for p in order if p not in pins]
         if missing:
             raise NetlistError(f"cell {name}: unconnected pins {missing}")
-        cell = Cell(name, ctype, dict(pins))
+        cell = Cell(name, ctype, {p: pins[p] for p in order})
         for pin in ctype.outputs:
             net = pins[pin]
             if net.driver is not None:
@@ -148,24 +155,6 @@ class Circuit:
     def mark_output(self, name: str, nets: list[Net]) -> None:
         """Declare *nets* as the primary output bus *name* (LSB first)."""
         self.output_buses[name] = list(nets)
-
-    def add_blackbox(
-        self,
-        name: str,
-        ip_name: str,
-        input_buses: dict[str, list[Net]],
-        output_buses: dict[str, list[Net]],
-    ) -> BlackBox:
-        """Record an IP instance to be resolved by the linker."""
-        box = BlackBox(name, ip_name, input_buses, output_buses)
-        for nets in output_buses.values():
-            for net in nets:
-                if net.driver is not None:
-                    raise NetlistError(
-                        f"blackbox output net {net.name!r} already driven"
-                    )
-        self.blackboxes.append(box)
-        return box
 
     # ------------------------------------------------------------------
     # queries
@@ -214,10 +203,11 @@ class Circuit:
         Walks drivers backward from the seed nets, crossing combinational
         cells and flip-flops alike (a flop's D cone is part of its Q's
         fan-in), so the result is the set of nets and cells that can
-        structurally influence the seeds over any number of cycles.
-        Both the dead-logic pass in :mod:`repro.netlist.opt` and the
-        observability analysis in :mod:`repro.analyze.netlist` are
-        defined in terms of this cone.
+        structurally influence the seeds over any number of cycles.  The
+        observability analysis in :mod:`repro.analyze.netlist` is
+        defined in terms of this cone; the optimizer's dead-logic sweep
+        takes the same cone on its arena
+        (:meth:`~repro.netlist.arena.GateArena.fanin_cells`).
         """
         net_uids: set[int] = set()
         cell_uids: set[int] = set()

@@ -6,10 +6,10 @@ level.  :func:`link` reproduces that: black-box instances left by the
 technology mapper are replaced by clones of separately mapped IP circuits,
 with the IP's primary input/output nets spliced onto the host's nets.
 
-The host is a :class:`~repro.netlist.circuit.Circuit` or, in the flows,
-the mapper's :class:`~repro.netlist.arena.GateArena`: both answer the
-``blackboxes``, ``new_net``, ``const_net`` and ``add_cell`` calls the
-linker makes, the arena with integer nets.
+The host is the mapper's :class:`~repro.netlist.arena.GateArena`, where
+the black boxes wait (integer nets); each IP is a finished
+:class:`~repro.netlist.circuit.Circuit`, cloned cell by cell through the
+arena's ``new_net``, ``const_net`` and ``add_cell``.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from repro.netlist.cells import BUF
 from repro.netlist.circuit import Circuit, Net, NetlistError
 
 
-def _clone_ip(host: Circuit | GateArena, ip: Circuit, prefix: str,
-              net_map: dict[int, Net | int]) -> None:
+def _clone_ip(host: GateArena, ip: Circuit, prefix: str,
+              net_map: dict[int, int]) -> None:
     """Copy every cell of *ip* into *host*, translating nets."""
 
-    def translate(net: Net) -> Net | int:
+    def translate(net: Net) -> int:
         mapped = net_map.get(net.uid)
         if mapped is None:
             mapped = host.new_net(f"{prefix}/{net.name}")
@@ -42,8 +42,7 @@ def _clone_ip(host: Circuit | GateArena, ip: Circuit, prefix: str,
         host.add_cell(f"{prefix}/{cell.name}", cell.ctype, **pins)
 
 
-def link(host: Circuit | GateArena,
-         ip_library: dict[str, Circuit]) -> Circuit | GateArena:
+def link(host: GateArena, ip_library: dict[str, Circuit]) -> GateArena:
     """Resolve every black box in *host* using *ip_library* (in place)."""
     for box in list(host.blackboxes):
         ip = ip_library.get(box.ip_name)
@@ -54,7 +53,7 @@ def link(host: Circuit | GateArena,
             )
         if ip.blackboxes:
             raise NetlistError(f"IP {ip.name!r} is itself unlinked")
-        net_map: dict[int, Net | int] = {}
+        net_map: dict[int, int] = {}
         for bus_name, host_nets in box.input_buses.items():
             ip_nets = ip.input_buses.get(bus_name)
             if ip_nets is None or len(ip_nets) != len(host_nets):

@@ -19,17 +19,16 @@ multiplexer only it reads, or the fanout of a net it reads falling to
 one load.  So one :func:`optimize` call
 runs to the fixed point, and calling it again changes nothing.
 Structurally identical cells meet in a persistent hash-cons table, a
-cell dies when the last reader of its output goes away, and a
-``fanin_cone`` sweep from the outputs removes what reference counts
-cannot — flip-flop loops no output observes.  Only connected nets stay
-in ``circuit.nets``.
+cell dies when the last reader of its output goes away, and a fan-in
+sweep from the outputs (:meth:`~repro.netlist.arena.GateArena.fanin_cells`)
+removes what reference counts cannot — flip-flop loops no output
+observes.  Only connected nets stay in the result's ``nets``.
 
 The worklist runs on a :class:`~repro.netlist.arena.GateArena`, where a
 net is an int and a cell an index, so the ~90 % of mapped cells the
-rules delete never exist as objects: the flows hand :func:`optimize`
-the mapper's arena and get back a :class:`Circuit` of the survivors.
-A :class:`Circuit` passed in is read into an arena, and the result is
-written back onto its surviving objects.
+rules delete never exist as objects: :func:`optimize` takes the arena
+the mapper made (and the linker extended) and returns a new
+:class:`Circuit` of the survivors.
 
 Because both flows share the optimizer, the paper's "area almost
 equivalent" result (R1) and the zero-overhead class-resolution check (R3)
@@ -233,14 +232,9 @@ class _Worklist:
 
     def _repin(self, cell: int, ctype: CellType,
                ins: tuple[int, ...]) -> None:
-        """Give *cell* a new type and inputs; revisit it and its readers.
-
-        A new type comes with its pins in library order.
-        """
+        """Give *cell* a new type and inputs; revisit it and its readers."""
         self._unhash(cell)
         old = self.ins[cell]
-        if ctype is not self.ctype[cell]:
-            self.arena.pin_order.pop(cell, None)
         self.ctype[cell] = ctype
         self.ins[cell] = ins
         for net in ins:  # connect first: shared nets stay alive
@@ -258,8 +252,7 @@ class _Worklist:
         """A new *ctype* cell reading *ins*; returns its output net."""
         arena = self.arena
         out = arena.new_net(net_name)
-        cell = arena.add_cell(name, ctype, y=out, **dict(zip(ctype.inputs,
-                                                           ins)))
+        cell = arena.new_cell(ctype, ins, out, name)
         for net in ins:
             self._connect(cell, net)
         self._enqueue(cell)
@@ -437,18 +430,12 @@ class _Worklist:
         arena.nets = [net for net in arena.nets if net in connected]
 
 
-def optimize(netlist: Circuit | GateArena) -> Circuit:
-    """Optimize *netlist* to a fixed point and return the circuit.
+def optimize(arena: GateArena) -> Circuit:
+    """Optimize *arena* to a fixed point and return its survivors.
 
-    A :class:`Circuit` is optimized in place and returned: its surviving
-    :class:`~repro.netlist.circuit.Cell` and
-    :class:`~repro.netlist.circuit.Net` objects stay.  A
-    :class:`GateArena` (the mapper's output) is optimized in place, and
-    a new circuit is built from the cells and nets that survive.
+    The arena is rewritten in place: afterwards its ``cells`` and
+    ``nets`` list what survives, so optimizing it again changes nothing.
+    The returned :class:`Circuit` is new, built from those cells and nets.
     """
-    if isinstance(netlist, GateArena):
-        _Worklist(netlist).run()
-        return netlist.to_circuit()
-    arena = GateArena.from_circuit(netlist)
     _Worklist(arena).run()
-    return arena.to_circuit(into=netlist)
+    return arena.to_circuit()

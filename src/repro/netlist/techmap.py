@@ -32,10 +32,11 @@ modules with an ``attributes["blackbox_ip"]`` marker) become netlist-level
 :class:`~repro.netlist.circuit.BlackBox` entries for the linker.
 
 The mapper emits into a :class:`~repro.netlist.arena.GateArena`: nets are
-ints and a gate is a few list appends, its name kept as parts.  The
-flows link and optimize that arena and build objects only for the cells
-that survive; :func:`map_module` builds the whole raw
-:class:`~repro.netlist.circuit.Circuit` from it.
+ints and a gate is a few list appends, its name kept as parts.
+:func:`map_module` returns that arena; the linker and the optimizer take
+it from there, and objects are built only for the cells that survive
+(``optimize(map_module(rtl))``).  ``map_module(rtl).to_circuit()`` is
+the raw, unoptimized :class:`~repro.netlist.circuit.Circuit`.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from repro.netlist.cells import (
     XOR2,
     CellType,
 )
-from repro.netlist.circuit import Circuit, NetlistError
+from repro.netlist.circuit import NetlistError
 from repro.rtl.ir import (
     BinOp,
     Carrier,
@@ -473,6 +474,6 @@ class TechMapper:
         return current
 
 
-def map_module(module: RtlModule) -> Circuit:
-    """Technology-map *module* into a fresh, unoptimized circuit."""
-    return TechMapper(module).map().to_circuit()
+def map_module(module: RtlModule) -> GateArena:
+    """Technology-map *module* into a fresh, unoptimized gate arena."""
+    return TechMapper(module).map()

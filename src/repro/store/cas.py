@@ -62,6 +62,20 @@ DEFAULT_LOCK_TIMEOUT_S = 30.0
 _LOCK_RETRY_S = 0.01
 
 
+def _pointer_object(data: bytes) -> str | None:
+    """The object digest a stage pointer file's *data* names, or None
+    when the pointer is damaged."""
+    try:
+        pointer = json.loads(data)
+    except ValueError:
+        return None
+    if (not isinstance(pointer, dict)
+            or pointer.get("schema") != STORE_SCHEMA
+            or not isinstance(pointer.get("object"), str)):
+        return None
+    return pointer["object"]
+
+
 class _Lock:
     """Advisory flock on the store's ``.lock`` file (no-op without fcntl).
 
@@ -294,20 +308,14 @@ class ArtifactStore:
         """
         path = self._pointer_path(stage, key)
         try:
-            pointer = json.loads(path.read_bytes())
+            data = path.read_bytes()
         except OSError:
             return None
-        except ValueError:
+        digest = _pointer_object(data)
+        if digest is None:
             self._discard(path)
             self._count("corrupt", stage)
-            return None
-        if (not isinstance(pointer, dict)
-                or pointer.get("schema") != STORE_SCHEMA
-                or not isinstance(pointer.get("object"), str)):
-            self._discard(path)
-            self._count("corrupt", stage)
-            return None
-        return pointer["object"]
+        return digest
 
     def put_stage(self, stage: str, key: str, digest: str) -> None:
         """Point (*stage*, *key*) at an already-stored object."""
@@ -399,9 +407,10 @@ class ArtifactStore:
         """Rehash every object and resolve every pointer.
 
         Returns counts of checked/corrupt objects and checked/dangling
-        pointers.  With ``repair=True`` damaged objects and dangling
-        pointers are removed (so the next build recomputes them);
-        otherwise they are only reported.
+        pointers (damaged, or naming a missing object).  With
+        ``repair=True`` damaged objects and dangling pointers are removed
+        (so the next build recomputes them); otherwise they are only
+        reported, and the store is left as it was.
         """
         objects = corrupt = 0
         for path in self._iter_objects():
@@ -412,13 +421,13 @@ class ArtifactStore:
                 if repair:
                     self._discard(path)
         pointers = dangling = 0
-        for stage, path in self._iter_pointers():
+        for _stage, path in self._iter_pointers():
             pointers += 1
-            digest = self.probe(stage, path.stem)
-            bad = digest is None or not self._object_path(digest).exists()
-            if digest is None:
-                dangling += 1  # probe already dropped the corrupt pointer
-            elif bad:
+            try:
+                digest = _pointer_object(path.read_bytes())
+            except OSError:
+                digest = None
+            if digest is None or not self._object_path(digest).exists():
                 dangling += 1
                 if repair:
                     self._discard(path)

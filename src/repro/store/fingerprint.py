@@ -55,9 +55,10 @@ _STAGE_SOURCES: dict[str, tuple[str, ...]] = {
     "sta_routed": ("netlist/sta.py", "netlist/pnr.py", "netlist/cells.py"),
     # The row's numbers come from the optimized netlist and the two
     # timing reports (its key chains on their digests), read through
-    # these files.  ``netlist/cells.py`` holds the area table: editing
-    # it can leave the netlist's bytes, and so its digest, unchanged.
-    "summary": ("eval/flows.py", "netlist/area.py", "netlist/cells.py",
+    # these files; ``eval/summary.py`` holds the key and the row
+    # builder.  ``netlist/cells.py`` holds the area table: editing it
+    # can leave the netlist's bytes, and so its digest, unchanged.
+    "summary": ("eval/summary.py", "netlist/area.py", "netlist/cells.py",
                 "netlist/circuit.py", "netlist/sta.py"),
     "testability": ("analyze/netlist", "netlist/circuit.py",
                     "netlist/cells.py"),

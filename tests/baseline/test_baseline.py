@@ -165,10 +165,9 @@ class TestVhdlIp:
         assert sim.peek_outputs()["p"] == 246800
 
     def test_linked_top_simulates(self):
-        circuit = map_module(expocu_rtl())
-        assert circuit.blackboxes, "top must use IP black boxes"
-        link(circuit, ip_library())
-        optimize(circuit)
+        arena = map_module(expocu_rtl())
+        assert arena.blackboxes, "top must use IP black boxes"
+        circuit = optimize(link(arena, ip_library()))
         circuit.validate()
         sim = GateSimulator(circuit)
         sim.step(reset=1)

@@ -53,8 +53,7 @@ class TestRtlCosim:
         assert int(top.dut.port("frame_start").read()) == 0
 
     def test_gate_level_engine(self):
-        circuit = map_module(sync_rtl())
-        optimize(circuit)
+        circuit = optimize(map_module(sync_rtl()))
         top, sim = host(engine=GateSimulator(circuit))
         pulses = 0
         for level in (0, 1, 1, 0, 0, 0, 0):

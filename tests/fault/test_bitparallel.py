@@ -252,8 +252,7 @@ class TestLaneTransients:
 
 
 def _gate_latcher(backend: str) -> GateFaultInjector:
-    circuit = map_module(latching_module())
-    optimize(circuit)
+    circuit = optimize(map_module(latching_module()))
     return GateFaultInjector(FaultableGateSimulator(circuit,
                                                     backend=backend))
 
@@ -365,8 +364,7 @@ class TestDrainPeriodicity:
 
     @staticmethod
     def _injector(backend: str) -> GateFaultInjector:
-        circuit = map_module(periodic_module())
-        optimize(circuit)
+        circuit = optimize(map_module(periodic_module()))
         return GateFaultInjector(FaultableGateSimulator(circuit,
                                                         backend=backend))
 

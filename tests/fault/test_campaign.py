@@ -148,8 +148,7 @@ class TestDetection:
         r = b.register("r", unsigned(4))
         b.next(r, x)
         b.output("y", Read(r))
-        circuit = map_module(b.build())
-        optimize(circuit)
+        circuit = optimize(map_module(b.build()))
         add_parity_guards(circuit)
         injector = GateFaultInjector(FaultableGateSimulator(circuit))
         seu = [name for name, _ in injector.seu_targets()

@@ -22,9 +22,7 @@ def register_circuit(width=4):
     r = b.register("r", unsigned(width))
     b.next(r, x)
     b.output("y", Read(r))
-    circuit = map_module(b.build())
-    optimize(circuit)
-    return circuit
+    return optimize(map_module(b.build()))
 
 
 class TestMajorityVoter:

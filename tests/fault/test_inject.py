@@ -26,9 +26,7 @@ def pipeline_module(width=4):
 
 
 def pipeline_circuit(width=4):
-    circuit = map_module(pipeline_module(width))
-    optimize(circuit)
-    return circuit
+    return optimize(map_module(pipeline_module(width)))
 
 
 class TestRtlInjector:

@@ -1,19 +1,20 @@
 """The shared structural queries: ``fanout_map`` and ``fanin_cone``.
 
-Both the optimizer's dead-logic sweep and the netlist analysis engine
-are defined in terms of these two ``Circuit`` methods, so their
-semantics are pinned here independently of either consumer — plus a
-regression that the optimizer still removes exactly the cells outside
-the cone.
+The netlist analysis engine is defined in terms of these two
+``Circuit`` methods, and the optimizer's dead-logic sweep takes the same
+cone on its gate arena, so their semantics are pinned here
+independently of either consumer — plus a regression that the
+optimizer still removes exactly the cells outside the cone.
 """
 
 from repro.netlist import Circuit
+from repro.netlist.arena import GateArena
 from repro.netlist.opt import optimize
 
 
-def _diamond():
+def _diamond_arena() -> GateArena:
     """x0,x1 → AND/OR → XOR → y, plus a dead INV chain off x0."""
-    circuit = Circuit("diamond")
+    circuit = GateArena("diamond")
     x0, x1 = circuit.new_bus("x", 2)
     circuit.mark_input("x", [x0, x1])
     n_and = circuit.new_net("n_and")
@@ -27,6 +28,11 @@ def _diamond():
     circuit.add_cell("dead0", "INV", a=x0, y=d0)
     circuit.add_cell("dead1", "INV", a=d0, y=d1)
     circuit.mark_output("y", [y])
+    return circuit
+
+
+def _diamond() -> Circuit:
+    circuit = _diamond_arena().to_circuit()
     circuit.validate()
     return circuit
 
@@ -99,12 +105,11 @@ class TestDeadRemovalRegression:
         _, live_before = circuit.fanin_cone(circuit.output_buses["y"])
         live_names = {c.name for c in circuit.cells
                       if c.uid in live_before}
-        optimize(circuit)
-        assert {c.name for c in circuit.cells} <= live_names
-        assert not {"dead0", "dead1"} & {c.name for c in circuit.cells}
+        optimized = optimize(_diamond_arena())
+        assert {c.name for c in optimized.cells} <= live_names
+        assert not {"dead0", "dead1"} & {c.name for c in optimized.cells}
 
     def test_optimize_keeps_logic_feeding_outputs(self):
-        circuit = _diamond()
-        optimize(circuit)
+        circuit = optimize(_diamond_arena())
         circuit.validate()
         assert circuit.output_buses["y"][0].driver is not None

@@ -7,7 +7,10 @@
   purpose.
 * A cold build makes :class:`Cell` objects only for the cells that
   survive optimization, plus the IP library's.
-* ``optimize`` on a hand-built circuit writes back onto its objects.
+* ``optimize`` takes a gate arena and returns a new circuit of the
+  survivors, every cell's pins in library order, so a netlist renders
+  one structural Verilog whether it was just optimized or loaded from
+  the store.
 """
 
 import hashlib
@@ -25,7 +28,7 @@ from repro.netlist.techmap import TechMapper
 from repro.netlist.verilog import to_structural_verilog
 from repro.serve.jobs import default_design, make_spec, run_job
 from repro.store import ArtifactStore, StageRunner, canonical_json
-from repro.store import serialize_circuit
+from repro.store import deserialize_circuit, serialize_circuit
 
 
 def digest(circuit: Circuit) -> str:
@@ -41,6 +44,14 @@ def osss():
     return synth.value(), gate_stages(synth, runner).value()
 
 
+@pytest.fixture(scope="module")
+def vhdl():
+    """The VHDL flow's optimized netlist, by the calls its opt stage
+    makes."""
+    arena = TechMapper(expocu_rtl()).map()
+    return optimize(link(arena, ip_library()))
+
+
 class TestGoldenNetlists:
     def test_optimized_osss(self, osss):
         _, circuit = osss
@@ -50,17 +61,16 @@ class TestGoldenNetlists:
             "0f37a3bdbc92e3a349be713533738ff9")
 
     def test_optimized_osss_verilog(self, osss):
-        # Verilog lists each cell's pins in the order its Cell.pins has.
+        # Verilog lists each cell's pins in the order its Cell.pins has,
+        # which is library order.
         _, circuit = osss
         verilog = to_structural_verilog(circuit).encode()
         assert hashlib.sha256(verilog).hexdigest() == (
-            "162a75a91091ae455726bb0e8ec27fa4"
-            "8c0d92644ee5ac9306778224c1c5b3e4")
+            "48cd01f41ae26c6c82910f62cf9b2c46"
+            "87ff5b7b5a3f68cca9c7bd9670f00402")
 
-    def test_optimized_vhdl(self):
-        # The calls the VHDL flow's opt stage makes.
-        arena = TechMapper(expocu_rtl()).map()
-        circuit = optimize(link(arena, ip_library()))
+    def test_optimized_vhdl(self, vhdl):
+        circuit = vhdl
         assert len(circuit.cells) == 3575
         assert digest(circuit) == (
             "7dc06574dba4f8e958cc63d2b7d40042"
@@ -83,7 +93,7 @@ class TestGoldenNetlists:
 
     def test_raw_osss_map(self, osss):
         rtl, _ = osss
-        raw = map_module(rtl)
+        raw = map_module(rtl).to_circuit()
         assert len(raw.cells) == 60162
         assert total_area(raw) == pytest.approx(103026.35, abs=0.005)
         assert digest(raw) == (
@@ -102,61 +112,66 @@ class TestColdBuildObjects:
         assert made <= 5777 + 3575 + 664
 
 
+class TestOneVerilogPerNetlist:
+    @pytest.mark.parametrize("flow", ["osss", "vhdl"])
+    def test_fresh_and_stored_netlists_render_alike(self, flow, osss, vhdl):
+        fresh = osss[1] if flow == "osss" else vhdl
+        stored = deserialize_circuit(serialize_circuit(fresh))
+        assert to_structural_verilog(stored) == to_structural_verilog(fresh)
+
+
 class TestArena:
-    def _circuit(self):
-        circuit = Circuit("c")
-        a, b = circuit.new_bus("a", 1)[0], circuit.new_bus("b", 1)[0]
-        circuit.mark_input("a", [a])
-        circuit.mark_input("b", [b])
-        x, y, z = (circuit.new_net(name) for name in ("x", "y", "z"))
-        circuit.add_cell("and", "AND2", i0=a, i1=b, y=x)
-        circuit.add_cell("twin", "AND2", i0=b, i1=a, y=y)
-        circuit.add_cell("or", "OR2", i0=x, i1=y, y=z)
-        circuit.mark_output("z", [z])
-        return circuit, a, b, x
+    def _arena(self):
+        arena = GateArena("c")
+        a, b = arena.new_bus("a", 1)[0], arena.new_bus("b", 1)[0]
+        arena.mark_input("a", [a])
+        arena.mark_input("b", [b])
+        x, y, z = (arena.new_net(name) for name in ("x", "y", "z"))
+        arena.add_cell("and", "AND2", i0=a, i1=b, y=x)
+        arena.add_cell("twin", "AND2", i0=b, i1=a, y=y)
+        arena.add_cell("or", "OR2", i0=x, i1=y, y=z)
+        arena.mark_output("z", [z])
+        return arena
 
-    def test_optimize_keeps_the_surviving_objects(self):
-        circuit, a, b, x = self._circuit()
-        kept = circuit.cells[0]
-        out = circuit.output_buses["z"]
-        assert optimize(circuit) is circuit
+    def test_optimize_returns_a_circuit_of_the_survivors(self):
+        circuit = optimize(self._arena())
         # OR(x, x) -> x, and the twin AND merges into the first.
-        assert circuit.cells == [kept]
-        assert kept.pins["i0"] is a and kept.pins["i1"] is b
-        assert circuit.output_buses["z"] is out and out == [x]
+        [kept] = circuit.cells
+        assert kept.name == "and"
+        assert [net.name for net in circuit.nets] == ["a[0]", "b[0]", "x"]
+        a, b, x = circuit.nets
+        assert kept.pins == {"i0": a, "i1": b, "y": x}
         assert x.driver == (kept, "y")
-        assert circuit.nets == [a, b, x]
+        assert circuit.input_buses == {"a": [a], "b": [b]}
+        assert circuit.output_buses == {"z": [x]}
 
-    def test_pins_keep_the_order_they_were_given_in(self):
-        circuit, a, b, x = self._circuit()
-        y = circuit.new_net("y2")
-        circuit.add_cell("nand", "NAND2", y=y, i1=x, i0=a)
-        circuit.mark_output("y2", [y])
-        optimize(circuit)
-        assert [list(cell.pins) for cell in circuit.cells] == [
-            ["i0", "i1", "y"], ["y", "i1", "i0"]]
+    def test_pins_are_in_library_order(self):
+        arena = self._arena()
+        x = arena.nets[2]
+        y2 = arena.new_net("y2")
+        arena.add_cell("nand", "NAND2", y=y2, i1=x, i0=arena.nets[0])
+        arena.mark_output("y2", [y2])
+        assert [list(cell.pins) for cell in optimize(arena).cells] == [
+            ["i0", "i1", "y"], ["i0", "i1", "y"]]
+        circuit = Circuit("c")
+        a, out = circuit.new_net("a"), circuit.new_net("out")
+        cell = circuit.add_cell("mux", "MUX2", y=out, s=a, d1=a, d0=a)
+        assert list(cell.pins) == ["d0", "d1", "s", "y"]
 
-    def test_black_boxes_keep_their_objects_and_bus_lists(self):
-        host = Circuit("host")
+    def test_black_box_buses_follow_the_rewrites(self):
+        host = GateArena("host")
         x, mid, z = (host.new_bus(name, 1) for name in ("x", "mid", "z"))
         host.mark_input("x", x)
         host.mark_output("z", z)
         host.add_cell("buf", "BUF", a=x[0], y=mid[0])
-        box = host.add_blackbox("u_ip", "ip", {"a": mid}, {"y": z})
-        bus = box.input_buses["a"]
-        optimize(host)
-        assert host.blackboxes == [box] and box.input_buses["a"] is bus
-        assert bus == x and host.cells == []
-        assert host.nets == [x[0], z[0]]
-
-    def test_reading_and_writing_back_changes_nothing(self):
-        circuit, *_ = self._circuit()
-        once = canonical_json(serialize_circuit(circuit))
-        cells, nets = list(circuit.cells), list(circuit.nets)
-        assert GateArena.from_circuit(circuit).to_circuit(
-            into=circuit) is circuit
-        assert circuit.cells == cells and circuit.nets == nets
-        assert canonical_json(serialize_circuit(circuit)) == once
+        host.add_blackbox("u_ip", "ip", {"a": mid}, {"y": z})
+        circuit = optimize(host)
+        [box] = circuit.blackboxes
+        assert (box.name, box.ip_name) == ("u_ip", "ip")
+        assert box.input_buses == {"a": circuit.input_buses["x"]}
+        assert box.output_buses == {"y": circuit.output_buses["z"]}
+        assert circuit.cells == []
+        assert [net.name for net in circuit.nets] == ["x[0]", "z[0]"]
 
     def test_cells_list_the_mapped_then_the_optimized_netlist(self, osss):
         # A wrapper around optimize() reads len(netlist.cells) before

@@ -37,9 +37,7 @@ def pipeline_circuit():
     b.next(s1, x)
     b.next(s2, Read(s1))
     b.output("y", Read(s2))
-    circuit = map_module(b.build())
-    optimize(circuit)
-    return circuit
+    return optimize(map_module(b.build()))
 
 
 class TestSequentialBehaviour:
@@ -183,8 +181,7 @@ class TestEventDrivenPropagation:
         b.output("y", Read(s2))
         module = b.build()
         reference = RtlSimulator(module)
-        circuit = map_module(module)
-        optimize(circuit)
+        circuit = optimize(map_module(module))
         gates = GateSimulator(circuit)
         reference.step(reset=1)
         gates.step(reset=1)

@@ -7,9 +7,12 @@ Every optimized circuit must
   serialization byte-identical, and
 * list only connected nets (cell pins and bus members).
 
-The circuits are seeded :func:`random_circuit` netlists, a MUX2-heavy
+The circuits are seeded :func:`random_arena` netlists, a MUX2-heavy
 variant built from pass-through multiplexer chains so the mux-chain
-rule fires, and the two ExpoCU netlists the flows optimize.
+rule fires, and the two ExpoCU netlists the flows optimize, all built
+on gate arenas.  The unoptimized reference is the arena's
+:meth:`~repro.netlist.arena.GateArena.to_circuit`, and the fixed-point
+check optimizes one arena twice.
 """
 
 import random
@@ -25,13 +28,14 @@ from repro.netlist import (
     optimize,
 )
 from repro.netlist import opt
+from repro.netlist.arena import GateArena
 from repro.store import canonical_json, serialize_circuit
 
-from tests.netlist.test_sim_oracle import random_circuit
+from tests.netlist.test_sim_oracle import random_arena
 
 
 def mux_chain_circuit(seed: int, n_inputs: int = 3, n_chains: int = 6,
-                      chain_length: int = 5) -> Circuit:
+                      chain_length: int = 5) -> GateArena:
     """Registers fed by random multiplexer chains over few shared values.
 
     Each chain starts from a register's output and wraps it in muxes
@@ -41,7 +45,7 @@ def mux_chain_circuit(seed: int, n_inputs: int = 3, n_chains: int = 6,
     mux or an output, which must keep them from being bypassed.
     """
     rng = random.Random(seed)
-    circuit = Circuit(f"muxes{seed}")
+    circuit = GateArena(f"muxes{seed}")
     inputs = circuit.new_bus("x", n_inputs)
     circuit.mark_input("x", inputs)
     q_nets = [circuit.new_net(f"q{i}") for i in range(n_chains)]
@@ -61,14 +65,15 @@ def mux_chain_circuit(seed: int, n_inputs: int = 3, n_chains: int = 6,
             cur = out
         circuit.add_cell(f"ff{chain}", "DFF", d=cur, q=q_net)
     circuit.mark_output("y", q_nets + taps)
-    circuit.validate()
     return circuit
 
 
 def _assert_optimized_properties(build, seed: int, n_inputs: int) -> None:
-    reference = GateSimulator(build(seed))
-    circuit = build(seed)
-    optimize(circuit)
+    raw = build(seed).to_circuit()
+    raw.validate()
+    reference = GateSimulator(raw)
+    arena = build(seed)
+    circuit = optimize(arena)
     optimized = GateSimulator(circuit)
     stim = random.Random(seed + 1)
     for _ in range(40):
@@ -77,8 +82,7 @@ def _assert_optimized_properties(build, seed: int, n_inputs: int) -> None:
         assert reference.peek_outputs() == optimized.peek_outputs()
 
     once = canonical_json(serialize_circuit(circuit))
-    optimize(circuit)
-    assert canonical_json(serialize_circuit(circuit)) == once
+    assert canonical_json(serialize_circuit(optimize(arena))) == once
 
     connected = {net.uid for cell in circuit.cells
                  for net in cell.pins.values()}
@@ -91,7 +95,7 @@ def _assert_optimized_properties(build, seed: int, n_inputs: int) -> None:
 class TestOptimizerProperties:
     @pytest.mark.parametrize("seed", range(16))
     def test_random_circuit(self, seed):
-        _assert_optimized_properties(random_circuit, seed, n_inputs=4)
+        _assert_optimized_properties(random_arena, seed, n_inputs=4)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_mux_chains(self, seed):
@@ -112,11 +116,10 @@ class TestOptimizerProperties:
         assert sum(fired) >= 16
 
 
-def _fixed_point(circuit: Circuit) -> Circuit:
-    optimize(circuit)
+def _fixed_point(arena: GateArena) -> Circuit:
+    circuit = optimize(arena)
     once = canonical_json(serialize_circuit(circuit))
-    optimize(circuit)
-    assert canonical_json(serialize_circuit(circuit)) == once
+    assert canonical_json(serialize_circuit(optimize(arena))) == once
     return circuit
 
 
@@ -128,7 +131,7 @@ class TestRevisitTriggers:
     """
 
     def _mux_pair(self):
-        circuit = Circuit("pair")
+        circuit = GateArena("pair")
         s, si, x, z = (circuit.new_bus(name, 1)[0]
                        for name in ("s", "si", "x", "z"))
         for name, net in (("s", s), ("si", si), ("x", x), ("z", z)):
@@ -145,8 +148,8 @@ class TestRevisitTriggers:
         circuit.add_cell("inner", "MUX2", d0=z, d1=buffered, s=si, y=inner)
         circuit.add_cell("buf", "BUF", a=x, y=buffered)
         circuit.mark_output("y", [outer])
-        _fixed_point(circuit)
-        assert cell_histogram(circuit) == {"MUX2": 1, "OR2": 1}
+        assert cell_histogram(_fixed_point(circuit)) == {"MUX2": 1,
+                                                         "OR2": 1}
 
     def test_fanout_of_an_output_net_falls_to_one(self):
         # inner also drives an output and an AND with 0; once the AND
@@ -158,13 +161,12 @@ class TestRevisitTriggers:
         circuit.add_cell("mask", "AND2", i0=inner, i1=circuit.const_net(0),
                          y=masked)
         circuit.mark_output("y", [outer, inner, masked])
-        _fixed_point(circuit)
-        assert cell_histogram(circuit)["OR2"] == 1
+        assert cell_histogram(_fixed_point(circuit))["OR2"] == 1
 
     def test_driver_changed_type(self):
         # y = ~(a ^ 1): the XOR becomes an inverter after the INV was
         # visited, and the double inverter then cancels.
-        circuit = Circuit("retype")
+        circuit = GateArena("retype")
         a = circuit.new_bus("a", 1)
         circuit.mark_input("a", a)
         flipped, y = circuit.new_net("flipped"), circuit.new_net("y")
@@ -172,24 +174,23 @@ class TestRevisitTriggers:
         circuit.add_cell("xor", "XOR2", i0=a[0], i1=circuit.const_net(1),
                          y=flipped)
         circuit.mark_output("y", [y])
-        _fixed_point(circuit)
-        assert circuit.cells == [] and circuit.output_buses["y"] == a
+        optimized = _fixed_point(circuit)
+        assert optimized.cells == []
+        assert optimized.output_buses["y"] == optimized.input_buses["a"]
 
 
-def _osss_expocu() -> Circuit:
+def _osss_expocu() -> GateArena:
     from repro.serve.jobs import default_design
     from repro.synth.modulegen import synthesize
 
     return map_module(synthesize(default_design(), observe_children=False))
 
 
-def _vhdl_expocu() -> Circuit:
+def _vhdl_expocu() -> GateArena:
     from repro.baseline import expocu_rtl
     from repro.baseline.vhdl_ip import ip_library
 
-    circuit = map_module(expocu_rtl())
-    link(circuit, ip_library())
-    return circuit
+    return link(map_module(expocu_rtl()), ip_library())
 
 
 class TestExpoCUFixedPoint:

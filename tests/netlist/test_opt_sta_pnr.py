@@ -68,10 +68,10 @@ class TestOptimization:
         module = small_design()
         raw = map_module(module)
         before_cells = len(raw.cells)
-        reference = GateSimulator(map_module(small_design()))
-        optimize(raw)
-        assert len(raw.cells) < before_cells
-        optimized = GateSimulator(raw)
+        reference = GateSimulator(map_module(small_design()).to_circuit())
+        circuit = optimize(raw)
+        assert len(circuit.cells) < before_cells
+        optimized = GateSimulator(circuit)
         stim = [dict(reset=1)] + [
             dict(reset=0, a=i % 16, b=(3 * i) % 16) for i in range(40)
         ]
@@ -85,8 +85,7 @@ class TestOptimization:
         a = m.add_input("a", bit())
         zero = Const(bit(), 0)
         m.add_output("y", BinOp("and", Read(a), zero))
-        circuit = map_module(m)
-        optimize(circuit)
+        circuit = optimize(map_module(m))
         # y is constant 0: only the tie cell should remain.
         kinds = cell_histogram(circuit)
         assert kinds.get("AND2", 0) == 0
@@ -97,8 +96,7 @@ class TestOptimization:
         from repro.rtl import UnaryOp
 
         m.add_output("y", UnaryOp("not", UnaryOp("not", Read(a))))
-        circuit = map_module(m)
-        optimize(circuit)
+        circuit = optimize(map_module(m))
         assert cell_histogram(circuit).get("INV", 0) == 0
 
     def test_cse_merges_duplicates(self):
@@ -108,18 +106,16 @@ class TestOptimization:
         # Two identical adders.
         m.add_output("x", BinOp("add", Read(a), Read(b)))
         m.add_output("y", BinOp("add", Read(a), Read(b)))
-        circuit = map_module(m)
-        before = total_area(circuit)
-        optimize(circuit)
-        assert total_area(circuit) <= before / 1.8
+        arena = map_module(m)
+        before = total_area(arena.to_circuit())
+        assert total_area(optimize(arena)) <= before / 1.8
 
     def test_dead_logic_removed(self):
         m = RtlModule("m")
         a = m.add_input("a", unsigned(8))
         m.add_wire("unused", BinOp("mul", Read(a), Read(a)))
         m.add_output("y", Read(a))
-        circuit = map_module(m)
-        optimize(circuit)
+        circuit = optimize(map_module(m))
         assert cell_histogram(circuit).get("AND2", 0) == 0
 
 
@@ -130,18 +126,18 @@ class TestTiming:
             a = m.add_input("a", unsigned(width))
             b = m.add_input("b", unsigned(width))
             m.add_output("y", BinOp("add", Read(a), Read(b)))
-            return analyze(map_module(m))
+            return analyze(map_module(m).to_circuit())
 
         assert adder(16).critical_path_ns > adder(4).critical_path_ns
 
     def test_fmax_inverse_of_path(self):
-        report = analyze(map_module(small_design()))
+        report = analyze(map_module(small_design()).to_circuit())
         assert report.fmax_mhz == pytest.approx(
             1000.0 / report.critical_path_ns
         )
 
     def test_meets(self):
-        report = analyze(map_module(small_design()))
+        report = analyze(map_module(small_design()).to_circuit())
         assert report.meets(1.0)
         assert not report.meets(1e9)
 
@@ -152,21 +148,19 @@ class TestTiming:
         b.next(r1, Read(r2))
         b.next(r2, Read(r1))
         b.output("q", Read(r1))
-        report = analyze(map_module(b.build()))
+        report = analyze(map_module(b.build()).to_circuit())
         assert report.critical_path_ns >= DFF.clk_to_q + DFF.setup
 
     def test_critical_path_names_cells(self):
         module = small_design()
-        circuit = map_module(module)
-        optimize(circuit)
+        circuit = optimize(map_module(module))
         report = analyze(circuit)
         assert report.path, "expected a non-empty critical path"
 
 
 class TestPlacement:
     def test_placement_covers_cells(self):
-        circuit = map_module(small_design())
-        optimize(circuit)
+        circuit = optimize(map_module(small_design()))
         placement = place(circuit)
         assert len(placement.positions) == len(
             circuit.flops() + circuit.topological_comb_order()
@@ -174,16 +168,14 @@ class TestPlacement:
         assert placement.total_wirelength > 0
 
     def test_wire_delays_slow_design(self):
-        circuit = map_module(small_design())
-        optimize(circuit)
+        circuit = optimize(map_module(small_design()))
         placement = place(circuit)
         plain = analyze(circuit)
         routed = analyze(circuit, placement.wire_delays())
         assert routed.critical_path_ns >= plain.critical_path_ns
 
     def test_configuration_record(self):
-        circuit = map_module(small_design())
-        optimize(circuit)
+        circuit = optimize(map_module(small_design()))
         config = place(circuit).configuration()
         assert config["design"] == "d" and config["placed_cells"] > 0
 
@@ -198,11 +190,11 @@ class TestLinker:
         inst = b.instance("mul0", multiplier_blackbox(16, 8), a=a, b=c)
         b.output("p", inst.output("p"))
         module = b.build()
-        circuit = map_module(module)
-        assert circuit.blackboxes
+        arena = map_module(module)
+        assert arena.blackboxes
         with pytest.raises(NetlistError):
-            circuit.validate()  # unresolved until linked
-        link(circuit, ip_library(16, 8))
+            arena.to_circuit().validate()  # unresolved until linked
+        circuit = link(arena, ip_library(16, 8)).to_circuit()
         circuit.validate()
         sim = GateSimulator(circuit)
         sim.drive(a=300, b=7)
@@ -217,6 +209,6 @@ class TestLinker:
         c = b.input("b", unsigned(8))
         inst = b.instance("mul0", multiplier_blackbox(16, 8), a=a, b=c)
         b.output("p", inst.output("p"))
-        circuit = map_module(b.build())
+        arena = map_module(b.build())
         with pytest.raises(NetlistError):
-            link(circuit, {})
+            link(arena, {})

@@ -12,9 +12,7 @@ def toggler():
     reg = b.register("state", unsigned(4))
     b.next(reg, mux(en, (Read(reg) + 1).resized(4), Read(reg)))
     b.output("q", Read(reg))
-    circuit = map_module(b.build())
-    optimize(circuit)
-    return circuit
+    return optimize(map_module(b.build()))
 
 
 class TestActivityCounting:

@@ -23,31 +23,33 @@ import pytest
 
 from repro.fault.inject import FaultableGateSimulator
 from repro.netlist import Circuit, GateSimulator, NetlistError
+from repro.netlist.arena import GateArena
 
 _COMB = ("INV", "BUF", "AND2", "OR2", "XOR2", "XNOR2", "NAND2", "NOR2",
          "MUX2")
 
 
-def random_circuit(seed: int, n_inputs: int = 4, n_cells: int = 40,
-                   n_flops: int = 6, n_outputs: int = 8) -> Circuit:
-    """A random acyclic netlist with feedback through flops only.
+def random_arena(seed: int, n_inputs: int = 4, n_cells: int = 40,
+                 n_flops: int = 6, n_outputs: int = 8) -> GateArena:
+    """A random acyclic netlist with feedback through flops only, built
+    on a gate arena (what :func:`~repro.netlist.optimize` takes).
 
     Cells are created in topological order (each consumes already-driven
     nets), flop D pins may close cycles through the registered boundary,
     and outputs sample random internal nets.
     """
     rng = random.Random(seed)
-    circuit = Circuit(f"rand{seed}")
-    inputs = circuit.new_bus("x", n_inputs)
-    circuit.mark_input("x", inputs)
-    q_nets = [circuit.new_net(f"q{i}") for i in range(n_flops)]
+    arena = GateArena(f"rand{seed}")
+    inputs = arena.new_bus("x", n_inputs)
+    arena.mark_input("x", inputs)
+    q_nets = [arena.new_net(f"q{i}") for i in range(n_flops)]
     pool = list(inputs) + q_nets
     if rng.random() < 0.5:
-        pool.append(circuit.const_net(rng.randrange(2)))
+        pool.append(arena.const_net(rng.randrange(2)))
     comb_nets = []
     for k in range(n_cells):
         ctype = rng.choice(_COMB)
-        out = circuit.new_net(f"n{k}")
+        out = arena.new_net(f"n{k}")
         if ctype in ("INV", "BUF"):
             pins = {"a": rng.choice(pool)}
         elif ctype == "MUX2":
@@ -55,14 +57,20 @@ def random_circuit(seed: int, n_inputs: int = 4, n_cells: int = 40,
                     "s": rng.choice(pool)}
         else:
             pins = {"i0": rng.choice(pool), "i1": rng.choice(pool)}
-        circuit.add_cell(f"g{k}", ctype, y=out, **pins)
+        arena.add_cell(f"g{k}", ctype, y=out, **pins)
         pool.append(out)
         comb_nets.append(out)
     for i, q_net in enumerate(q_nets):
-        circuit.add_cell(f"ff{i}", "DFF", d=rng.choice(pool), q=q_net)
-    circuit.mark_output(
+        arena.add_cell(f"ff{i}", "DFF", d=rng.choice(pool), q=q_net)
+    arena.mark_output(
         "y", [rng.choice(pool) for _ in range(n_outputs)]
     )
+    return arena
+
+
+def random_circuit(seed: int, **sizes: int) -> Circuit:
+    """:func:`random_arena` as a :class:`Circuit`."""
+    circuit = random_arena(seed, **sizes).to_circuit()
     circuit.validate()
     return circuit
 

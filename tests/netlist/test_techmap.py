@@ -31,9 +31,8 @@ def comb_module(build_output):
 
 
 def gate_value(module, a, b, run_opt=True):
-    circuit = map_module(module)
-    if run_opt:
-        optimize(circuit)
+    arena = map_module(module)
+    circuit = optimize(arena) if run_opt else arena.to_circuit()
     sim = GateSimulator(circuit)
     sim.drive(a=a, b=b)
     sim._settle_all()
@@ -132,8 +131,7 @@ class TestSequentialMapping:
         b.next(reg, mux(en, (Read(reg) + 1).resized(4), Read(reg)))
         b.output("q", Read(reg))
         module = b.build()
-        circuit = map_module(module)
-        optimize(circuit)
+        circuit = optimize(map_module(module))
         sim = GateSimulator(circuit)
         sim.step(reset=1)
         assert sim.peek_outputs()["q"] == 5
@@ -145,7 +143,7 @@ class TestSequentialMapping:
         reg = b.register("r", unsigned(6))
         b.next(reg, (Read(reg) + 1).resized(6))
         b.output("q", Read(reg))
-        circuit = map_module(b.build())
+        circuit = map_module(b.build()).to_circuit()
         assert len(circuit.flops()) == 6
 
     def test_hierarchy_flattened_with_prefixes(self):
@@ -157,5 +155,5 @@ class TestSequentialMapping:
         inst = parent.add_instance("u0", child)
         inst.connect("x", Read(a))
         parent.add_output("y", inst.output("y"))
-        circuit = map_module(parent)
+        circuit = map_module(parent).to_circuit()
         assert any(cell.name.startswith("top/u0/") for cell in circuit.cells)

@@ -20,9 +20,7 @@ def circuit():
     reg = b.register("acc", unsigned(8))
     b.next(reg, mux(en, (Read(reg) + a).resized(8), Read(reg)))
     b.output("acc", Read(reg))
-    c = map_module(b.build())
-    optimize(c)
-    return c
+    return optimize(map_module(b.build()))
 
 
 class TestStructuralEmission:

@@ -102,9 +102,7 @@ class TestRtlStats:
 class TestGateStats:
     @pytest.fixture(scope="class")
     def circuit(self):
-        circuit = map_module(make_rtl())
-        optimize(circuit)
-        return circuit
+        return optimize(map_module(make_rtl()))
 
     def run_steps(self, sim, cycles=10):
         sim.step(reset=1)

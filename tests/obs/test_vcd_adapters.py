@@ -131,9 +131,7 @@ class TestDuplicateRegisterNames:
 class TestGateTrace:
     @pytest.fixture(scope="class")
     def circuit(self):
-        circuit = map_module(make_rtl())
-        optimize(circuit)
-        return circuit
+        return optimize(map_module(make_rtl()))
 
     @pytest.mark.parametrize("backend", ["event", "compiled"])
     def test_backends_produce_identical_waveforms(self, circuit, backend):

@@ -205,6 +205,18 @@ class TestMaintenance:
         assert report["dangling_entries"] == 1
         assert store.verify()["ok"]
 
+    def test_verify_keeps_a_damaged_pointer_until_repair(self, store):
+        store.store("analyze", "k1", {"v": 1})
+        pointer = store._pointer_path("analyze", "k1")
+        pointer.write_bytes(b"{smashed")
+        for _ in range(2):
+            report = store.verify()
+            assert report["dangling_entries"] == 1 and not report["ok"]
+            assert pointer.read_bytes() == b"{smashed"
+        assert store.verify(repair=True)["dangling_entries"] == 1
+        assert not pointer.exists()
+        assert store.verify()["ok"]
+
     def test_clear_empties_store(self, store):
         store.store("opt", "k1", {"v": 1})
         store.store("sta", "k2", {"v": 2})

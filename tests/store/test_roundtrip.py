@@ -121,8 +121,9 @@ class TestExpoCuRtlRoundTrip:
         from repro.netlist import map_module
 
         rtl, restored, _doc = expocu_rtl_pair
-        assert canonical_json(serialize_circuit(map_module(restored))) == \
-            canonical_json(serialize_circuit(map_module(rtl)))
+        assert canonical_json(serialize_circuit(
+            map_module(restored).to_circuit())) == \
+            canonical_json(serialize_circuit(map_module(rtl).to_circuit()))
 
 
 class TestBaselineRtlRoundTrip:
@@ -132,8 +133,8 @@ class TestBaselineRtlRoundTrip:
 
         rtl = expocu_rtl()
         restored = deserialize_rtl(serialize_rtl(rtl))
-        pre = map_module(rtl)
-        pre2 = map_module(restored)
+        pre = map_module(rtl).to_circuit()
+        pre2 = map_module(restored).to_circuit()
         assert [b.ip_name for b in pre2.blackboxes] == \
             [b.ip_name for b in pre.blackboxes]
         doc = serialize_circuit(pre)

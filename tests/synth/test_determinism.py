@@ -59,8 +59,7 @@ dut = Branchy("probe", Clock("clk", 10 * NS),
               Signal("rst", bit(), Bit(1)))
 rtl = synthesize(dut, observe_children=False)
 print("registers:", [r.name for r in rtl.registers])
-circuit = map_module(rtl)
-optimize(circuit)
+circuit = optimize(map_module(rtl))
 print("nets:", [n.name for n in circuit.nets])
 print("cells:", [c.name for c in circuit.cells])
 """
@@ -124,7 +123,7 @@ print("design:", fp)
 print("key:", stage_key("synthesize", fp))
 rtl = synthesize(dut, observe_children=False)
 print("rtl:", digest_doc(serialize_rtl(rtl)))
-print("netlist:", digest_doc(serialize_circuit(map_module(rtl))))
+print("netlist:", digest_doc(serialize_circuit(map_module(rtl).to_circuit())))
 """
 
 
